@@ -7,32 +7,33 @@
 //! auto-resolved thread count, and once with symmetry reduction (the
 //! non-distinguished processes share the input 0, so the instance is
 //! symmetric under S_{n-1}); the `t2_dac/5/...` pair measures the same
-//! raw-vs-reduced split at n = 5, and `t2_dac/6/...` adds the regime the
-//! work-stealing frontier and incremental canonicalization are for: the
-//! `seq`/`ws` pair gates parallel speedup without inter-depth barriers,
-//! and the `reduced` row gates that orbit reduction now *wins wall clock*
-//! against raw exploration. The `kset/9/...` pair measures the same
-//! seq-vs-work-stealing split on a large k-set-agreement instance
-//! (≥ 10⁵ raw configurations), where frontier widths dwarf any barrier
-//! cost. Besides the usual per-group JSON report, this bench writes
-//! `BENCH_explore.json` at the repository root recording configs/sec for
-//! the engines, the parallel and work-stealing speedups, the
-//! orbit-reduction ratios, and the new steal/canonicalization counters,
-//! so the perf trajectory is tracked in-tree.
+//! raw-vs-reduced split at n = 5, and `t2_dac/6/...` adds the regime
+//! incremental canonicalization is for: the `seq`/`par` pair gates that
+//! the default multi-threaded run (which recruits work-stealing helpers
+//! only when its measured cost pays for them) never loses to one thread,
+//! the `pool` row times the work-stealing pool recruited at the root
+//! (`force_parallel`), and the `reduced` row gates that orbit reduction
+//! *wins wall clock* against raw exploration. The `kset/9/...` rows
+//! measure the same seq/par/pool split on a large k-set-agreement instance
+//! (≥ 10⁵ raw configurations), and `dac_sym/8/...` the seq/par split where
+//! recruiting pays: Algorithm 2 at n = 8 under symmetry reduction, whose
+//! orbit canonicalization is compute-bound. Besides the usual per-group
+//! JSON report, this bench writes `BENCH_explore.json` at the repository
+//! root recording configs/sec for the engines, the parallel speedups, the
+//! orbit-reduction ratios, and the steal/canonicalization counters, so the
+//! perf trajectory is tracked in-tree.
 
 use lbsa_bench::{distinct_inputs, mixed_binary_inputs};
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Pid};
 use lbsa_explorer::sampling::sample_k_set_agreement;
-use lbsa_explorer::{
-    Configuration, ExploreOptions, Explorer, Frontier, Limits, SampleConfig, Tracer,
-};
+use lbsa_explorer::{Configuration, ExploreOptions, Explorer, Limits, SampleConfig, Tracer};
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_protocols::set_agreement_protocols::KSetViaStrongSa;
 use lbsa_protocols::vote_propagation::VotePropagation;
 use lbsa_runtime::process::Protocol;
-use lbsa_support::bench::{BenchmarkId, Criterion};
+use lbsa_support::bench::{BenchmarkGroup, BenchmarkId, Criterion};
 use lbsa_support::json::Json;
 use lbsa_support::{criterion_group, criterion_main};
 use std::collections::{HashMap, VecDeque};
@@ -43,6 +44,10 @@ use std::hint::black_box;
 /// raw configurations — past the 10⁵ mark where exploration time is pure
 /// frontier throughput.
 const KSET_N: usize = 9;
+
+/// Process count of the symmetric Algorithm 2 workload: 339 orbits whose
+/// cost is S_7 canonicalization, the regime where recruited helpers pay.
+const DAC_SYM_N: usize = 8;
 
 /// Seeded runs per iteration of the sampling-throughput benchmark: the F8
 /// vote-propagation workload at n = 10 swept by the sampling engine. The
@@ -166,24 +171,30 @@ fn bench_explore(c: &mut Criterion) {
         });
     });
 
-    // n = 6: the committed workload where the work-stealing frontier and
-    // the incremental canonicalization must both *win* (see `perf_smoke`).
+    // n = 6: the committed workload where the default multi-threaded run
+    // must not lose to one thread and the incremental canonicalization must
+    // *win* (see `perf_smoke`).
     let p6 = DacFromPac::new(mixed_binary_inputs(6), Pid(0), ObjId(0)).unwrap();
     let objects6 = vec![AnyObject::pac(6).unwrap()];
     let explorer6 = Explorer::new(&p6, &objects6);
-    group.bench_function("t2_dac/6/seq", |b| {
-        b.iter(|| {
-            let g = explorer6.exploration().threads(1).run().unwrap();
-            black_box(g.configs.len())
-        });
-    });
-    group.bench_function(format!("t2_dac/6/ws{threads}"), |b| {
-        b.iter(|| {
-            let g = explorer6
+    bench_pair(
+        &mut group,
+        "t2_dac/6/seq",
+        &format!("t2_dac/6/par{threads}"),
+        || {
+            explorer6
                 .exploration()
-                .frontier(Frontier::WorkStealing)
+                .threads(1)
                 .run()
-                .unwrap();
+                .unwrap()
+                .configs
+                .len()
+        },
+        || explorer6.exploration().run().unwrap().configs.len(),
+    );
+    group.bench_function(format!("t2_dac/6/pool{threads}"), |b| {
+        b.iter(|| {
+            let g = explorer6.exploration().force_parallel().run().unwrap();
             black_box(g.configs.len())
         });
     });
@@ -206,19 +217,46 @@ fn bench_explore(c: &mut Criterion) {
     let pk = KSetViaStrongSa::new(distinct_inputs(KSET_N), ObjId(0));
     let objectsk = vec![AnyObject::strong_sa()];
     let explorerk = Explorer::new(&pk, &objectsk);
-    group.bench_function(format!("kset/{KSET_N}/seq"), |b| {
+    bench_pair(
+        &mut group,
+        &format!("kset/{KSET_N}/seq"),
+        &format!("kset/{KSET_N}/par{threads}"),
+        || {
+            explorerk
+                .exploration()
+                .threads(1)
+                .run()
+                .unwrap()
+                .configs
+                .len()
+        },
+        || explorerk.exploration().run().unwrap().configs.len(),
+    );
+    group.bench_function(format!("kset/{KSET_N}/pool{threads}"), |b| {
         b.iter(|| {
-            let g = explorerk.exploration().threads(1).run().unwrap();
+            let g = explorerk.exploration().force_parallel().run().unwrap();
             black_box(g.configs.len())
         });
     });
-    group.bench_function(format!("kset/{KSET_N}/ws{threads}"), |b| {
+    // Where recruiting pays: the symmetric Algorithm 2 instance at n = 8
+    // (339 orbits), whose per-node cost is orbit canonicalization.
+    let p8 = DacFromPac::new(mixed_binary_inputs(DAC_SYM_N), Pid(0), ObjId(0)).unwrap();
+    let objects8 = vec![AnyObject::pac(DAC_SYM_N).unwrap()];
+    let explorer8 = Explorer::new(&p8, &objects8);
+    group.bench_function(format!("dac_sym/{DAC_SYM_N}/seq"), |b| {
         b.iter(|| {
-            let g = explorerk
+            let g = explorer8
                 .exploration()
-                .frontier(Frontier::WorkStealing)
+                .symmetric()
+                .threads(1)
                 .run()
                 .unwrap();
+            black_box(g.configs.len())
+        });
+    });
+    group.bench_function(format!("dac_sym/{DAC_SYM_N}/par{threads}"), |b| {
+        b.iter(|| {
+            let g = explorer8.exploration().symmetric().run().unwrap();
             black_box(g.configs.len())
         });
     });
@@ -248,6 +286,41 @@ fn bench_explore(c: &mut Criterion) {
     write_speedup_report(c, threads, &explorer, &explorer5, &explorer6, &explorerk);
 }
 
+/// Registers the two sides of a gated ratio in ABBA order — `a`, `b`,
+/// then `b` and `a` again under ids suffixed `.b` — so each side is
+/// measured equally often and symmetrically around the same moment: slow
+/// host drift between back-to-back benchmarks (co-tenants, thermal state)
+/// cancels instead of landing on one side of the ratio. The report takes
+/// each side's minimum over both passes (see [`pair_times`]).
+fn bench_pair(
+    group: &mut BenchmarkGroup<'_>,
+    id_a: &str,
+    id_b: &str,
+    mut a: impl FnMut() -> usize,
+    mut b: impl FnMut() -> usize,
+) {
+    group.bench_function(id_a, |bencher| bencher.iter(|| black_box(a())));
+    group.bench_function(id_b, |bencher| bencher.iter(|| black_box(b())));
+    group.bench_function(format!("{id_b}.b"), |bencher| {
+        bencher.iter(|| black_box(b()));
+    });
+    group.bench_function(format!("{id_a}.b"), |bencher| {
+        bencher.iter(|| black_box(a()));
+    });
+}
+
+/// `(min, median)` nanoseconds of one [`bench_pair`] side: the minimum
+/// over both of its passes, and the first pass's median.
+fn pair_times(c: &Criterion, id: &str) -> Option<(f64, f64)> {
+    let find = |id: &str| c.results().iter().find(|r| r.id.ends_with(id));
+    let first = find(id)?;
+    let second = find(&format!("{id}.b"))?;
+    Some((
+        first.min_nanos().min(second.min_nanos()),
+        first.median_nanos(),
+    ))
+}
+
 /// Rounds to two decimals — the report is read by humans and diffed in
 /// review, so ratios keep the precision they are gated at.
 fn round2(x: f64) -> f64 {
@@ -261,10 +334,12 @@ fn round2(x: f64) -> f64 {
 /// raw-vs-reduced config counts and reduction ratios at n = 4, 5, and 6
 /// (the n = 4 group is only S_3, so its ratio is Burnside-capped at 6;
 /// n = 5 is where the ≥ 5× reduction target is met). The n = 6 and
-/// `kset` blocks additionally record the work-stealing frontier: its
-/// seq-vs-ws speedup, the steal counters, and the incremental
-/// canonicalization split (patches vs full recomputations), plus
-/// `effective_cores` so the gates can scale expectations to the host.
+/// `kset` blocks additionally record the default run's and the
+/// root-recruited pool's speedups over one thread, the pool's steal
+/// counters, and the incremental canonicalization split (patches vs full
+/// recomputations), plus `effective_cores` so the gates can scale
+/// expectations to the host; `dac_sym` records the speedup where
+/// recruiting pays.
 ///
 /// The n = 4 graph is small enough (275 configs) that per-run setup
 /// compresses the measured engine-vs-baseline ratio and couples it to the
@@ -304,12 +379,20 @@ fn write_speedup_report(
     ) else {
         return;
     };
-    let (Some(seq6_t), Some(ws6_t), Some(reduced6_t), Some(kseq_t), Some(kws_t)) = (
-        times("t2_dac/6/seq"),
-        times(&format!("t2_dac/6/ws{threads}")),
+    let (Some(seq6_t), Some(par6_t), Some(pool6_t), Some(reduced6_t)) = (
+        pair_times(c, "t2_dac/6/seq"),
+        pair_times(c, &format!("t2_dac/6/par{threads}")),
+        times(&format!("t2_dac/6/pool{threads}")),
         times("t2_dac/6/reduced"),
-        times(&format!("kset/{KSET_N}/seq")),
-        times(&format!("kset/{KSET_N}/ws{threads}")),
+    ) else {
+        return;
+    };
+    let (Some(kseq_t), Some(kpar_t), Some(kpool_t), Some(dseq_t), Some(dpar_t)) = (
+        pair_times(c, &format!("kset/{KSET_N}/seq")),
+        pair_times(c, &format!("kset/{KSET_N}/par{threads}")),
+        times(&format!("kset/{KSET_N}/pool{threads}")),
+        times(&format!("dac_sym/{DAC_SYM_N}/seq")),
+        times(&format!("dac_sym/{DAC_SYM_N}/par{threads}")),
     ) else {
         return;
     };
@@ -321,10 +404,14 @@ fn write_speedup_report(
     let (raw5_min, raw5_ns) = raw5_t;
     let (reduced5_min, reduced5_ns) = reduced5_t;
     let (seq6_min, seq6_ns) = seq6_t;
-    let (ws6_min, ws6_ns) = ws6_t;
+    let (par6_min, par6_ns) = par6_t;
+    let (pool6_min, pool6_ns) = pool6_t;
     let (reduced6_min, reduced6_ns) = reduced6_t;
     let (kseq_min, kseq_ns) = kseq_t;
-    let (kws_min, kws_ns) = kws_t;
+    let (kpar_min, kpar_ns) = kpar_t;
+    let (kpool_min, kpool_ns) = kpool_t;
+    let (dseq_min, dseq_ns) = dseq_t;
+    let (dpar_min, dpar_ns) = dpar_t;
     let g = explorer.exploration().run().unwrap();
     let reduced = explorer.exploration().threads(1).symmetric().run().unwrap();
     let raw5 = explorer5.exploration().threads(1).run().unwrap();
@@ -341,20 +428,12 @@ fn write_speedup_report(
         .symmetric()
         .run()
         .unwrap();
-    let ws6 = explorer6
-        .exploration()
-        .frontier(Frontier::WorkStealing)
-        .run()
-        .unwrap();
-    let ksetg = explorerk
-        .exploration()
-        .frontier(Frontier::WorkStealing)
-        .run()
-        .unwrap();
+    let ws6 = explorer6.exploration().force_parallel().run().unwrap();
+    let ksetg = explorerk.exploration().force_parallel().run().unwrap();
     assert_eq!(
-        ws6.configs.len(),
-        raw6.configs.len(),
-        "work-stealing must reach the same state space"
+        ws6.structural_digest(),
+        raw6.structural_digest(),
+        "the work-stealing pool must build the sequential graph"
     );
     assert_eq!(KSET_N, explorerk.initial_config().procs.len());
     let expanded = g.stats.expanded;
@@ -403,12 +482,15 @@ fn write_speedup_report(
         .set("n6_raw_configs", raw6.configs.len())
         .set("n6_reduced_configs", reduced6.configs.len())
         .set("n6_seq_min_ns", seq6_min.round())
-        .set("n6_ws_min_ns", ws6_min.round())
+        .set("n6_par_min_ns", par6_min.round())
+        .set("n6_pool_min_ns", pool6_min.round())
         .set("n6_reduced_min_ns", reduced6_min.round())
         .set("n6_seq_median_ns", seq6_ns.round())
-        .set("n6_ws_median_ns", ws6_ns.round())
+        .set("n6_par_median_ns", par6_ns.round())
+        .set("n6_pool_median_ns", pool6_ns.round())
         .set("n6_reduced_median_ns", reduced6_ns.round())
-        .set("n6_speedup_par_vs_seq", round2(seq6_min / ws6_min))
+        .set("n6_speedup_par_vs_seq", round2(seq6_min / par6_min))
+        .set("n6_speedup_pool_vs_seq", round2(seq6_min / pool6_min))
         .set(
             "n6_reduction_ratio",
             ratio(raw6.configs.len(), reduced6.configs.len()),
@@ -446,16 +528,25 @@ fn write_speedup_report(
         .set("kset_n", KSET_N)
         .set("kset_raw_configs", ksetg.configs.len())
         .set("kset_seq_min_ns", kseq_min.round())
-        .set("kset_ws_min_ns", kws_min.round())
+        .set("kset_par_min_ns", kpar_min.round())
+        .set("kset_pool_min_ns", kpool_min.round())
         .set("kset_seq_median_ns", kseq_ns.round())
-        .set("kset_ws_median_ns", kws_ns.round())
-        .set("kset_speedup_par_vs_seq", round2(kseq_min / kws_min))
+        .set("kset_par_median_ns", kpar_ns.round())
+        .set("kset_pool_median_ns", kpool_ns.round())
+        .set("kset_speedup_par_vs_seq", round2(kseq_min / kpar_min))
+        .set("kset_speedup_pool_vs_seq", round2(kseq_min / kpool_min))
         .set("kset_ws_steals", ksetg.stats.steals)
         .set("kset_ws_steal_fails", ksetg.stats.steal_fails)
         .set("kset_ws_local_hits", ksetg.stats.local_hits)
         .set("kset_ws_park_count", ksetg.stats.park_count)
         .set("kset_ws_deque_grows", ksetg.stats.deque_grows)
-        .set("kset_ws_index_batch_hits", ksetg.stats.index_batch_hits);
+        .set("kset_ws_index_batch_hits", ksetg.stats.index_batch_hits)
+        .set("dac_sym_n", DAC_SYM_N)
+        .set("dac_sym_seq_min_ns", dseq_min.round())
+        .set("dac_sym_par_min_ns", dpar_min.round())
+        .set("dac_sym_seq_median_ns", dseq_ns.round())
+        .set("dac_sym_par_median_ns", dpar_ns.round())
+        .set("dac_sym_speedup_par_vs_seq", round2(dseq_min / dpar_min));
     // Sampling-engine throughput (schedules/sec on the F8 workload): an
     // advisory floor in perf_smoke, and a BENCH_history.jsonl column.
     if let Some((sampling_min, sampling_med)) =
@@ -478,14 +569,20 @@ fn write_speedup_report(
             baseline5_min / raw5_min
         );
         println!(
-            "T2 n=6 work-stealing vs seq: {:.2}x; reduced vs raw wall clock: {:.2}x",
-            seq6_min / ws6_min,
+            "T2 n=6 default vs seq: {:.2}x (pool at the root: {:.2}x); reduced vs raw wall clock: {:.2}x",
+            seq6_min / par6_min,
+            seq6_min / pool6_min,
             reduced6_min / seq6_min,
         );
         println!(
-            "kset n={KSET_N} ({} configs) work-stealing vs seq: {:.2}x",
+            "kset n={KSET_N} ({} configs) default vs seq: {:.2}x (pool at the root: {:.2}x)",
             ksetg.configs.len(),
-            kseq_min / kws_min,
+            kseq_min / kpar_min,
+            kseq_min / kpool_min,
+        );
+        println!(
+            "symmetric T2 n={DAC_SYM_N} default vs seq: {:.2}x",
+            dseq_min / dpar_min,
         );
         println!(
             "symmetry reduction: n=4 {}->{} configs ({:.2}x), n=5 {}->{} configs ({:.2}x), \

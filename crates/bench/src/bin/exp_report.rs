@@ -10,7 +10,9 @@
 //!   if it does not conform to `lbsa-report/v1` or `/v2`;
 //! * `exp_report --validate-trace FILE` — check a `.trace.jsonl` span
 //!   trace: every line must parse as a JSON object carrying a string
-//!   `"event"` field and numeric `"seq"`/`"t_us"` fields;
+//!   `"event"` field and numeric `"seq"`/`"t_us"` fields, and the
+//!   `progress`, `level` and `explore.recruit` events their numeric
+//!   payload fields;
 //! * `exp_report --metrics` — print every numeric metric of every
 //!   artifact in `reports/` as flat `<id> <key> <value>` lines (v2
 //!   artifacts embed a `metrics` object; v1 artifacts are skipped);
@@ -90,13 +92,35 @@ fn validate_trace(path: &Path) -> Result<usize, String> {
                 ));
             }
         }
-        if doc.get("event").and_then(Json::as_str) == Some("progress") {
-            validate_progress_event(&doc)
-                .map_err(|e| format!("{}:{}: {e}", path.display(), lineno + 1))?;
-        }
+        let checked = match doc.get("event").and_then(Json::as_str) {
+            Some("progress") => validate_progress_event(&doc),
+            Some("explore.recruit") => validate_numeric(&doc, "explore.recruit", RECRUIT_FIELDS),
+            Some("level") => validate_numeric(&doc, "level", LEVEL_FIELDS),
+            _ => Ok(()),
+        };
+        checked.map_err(|e| format!("{}:{}: {e}", path.display(), lineno + 1))?;
         events += 1;
     }
     Ok(events)
+}
+
+/// Numeric fields of the engine's `explore.recruit` event: where a run
+/// handed its frontier to the work-stealing pool, and with how many
+/// helpers.
+const RECRUIT_FIELDS: &[&str] = &["level", "at_us", "helpers", "frontier"];
+
+/// Numeric fields of the engine's per-level `level` event.
+const LEVEL_FIELDS: &[&str] = &["level", "width", "transitions", "dedup", "elapsed_us"];
+
+/// Checks that `doc` (a `name` event) carries every field of `fields` as a
+/// number.
+fn validate_numeric(doc: &Json, name: &str, fields: &[&str]) -> Result<(), String> {
+    for key in fields {
+        if doc.get(key).and_then(Json::as_f64).is_none() {
+            return Err(format!("{name} event missing numeric {key:?} field"));
+        }
+    }
+    Ok(())
 }
 
 /// Schema check for the live sampler's `progress` events (emitted by
@@ -371,6 +395,28 @@ mod tests {
         let missing_strategy = Json::parse(r#"{"event":"progress","configs":1}"#).expect("event");
         let err = validate_progress_event(&missing_strategy).expect_err("strategy required");
         assert!(err.contains("strategy"), "err: {err}");
+    }
+
+    #[test]
+    fn recruit_and_level_events_require_their_numeric_fields() {
+        let recruit = Json::parse(
+            r#"{"seq":3,"t_us":90,"event":"explore.recruit","level":4,"at_us":5200,
+                "helpers":1,"frontier":96,"forced":false}"#,
+        )
+        .expect("test event");
+        assert!(validate_numeric(&recruit, "explore.recruit", RECRUIT_FIELDS).is_ok());
+        let no_helpers =
+            Json::parse(r#"{"event":"explore.recruit","level":4,"at_us":1,"frontier":2}"#)
+                .expect("test event");
+        let err = validate_numeric(&no_helpers, "explore.recruit", RECRUIT_FIELDS)
+            .expect_err("helpers required");
+        assert!(err.contains("helpers"), "err: {err}");
+        let level = Json::parse(
+            r#"{"event":"level","level":2,"width":9,"transitions":20,"dedup":11,
+                "elapsed_us":0,"pooled":true}"#,
+        )
+        .expect("test event");
+        assert!(validate_numeric(&level, "level", LEVEL_FIELDS).is_ok());
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!   work-stealing `ws.expand` progress beats, plus a steal-attribution
 //!   table (who stole from whom, and how often nobody had work);
 //! * **phase critical path** — the most expensive BFS levels of a
-//!   level-sync trace, or the longest-running worker of a work-stealing
-//!   trace;
+//!   sequential trace, or the longest-running worker of a run that
+//!   recruited a work-stealing pool;
 //! * **steal-storm and underparallelized-level detection** — the two
 //!   pathologies that silently burn wall clock: workers sweeping empty
-//!   deques, and wide levels that never crossed the parallel gate;
+//!   deques, and levels of a multi-threaded run costly enough per node to
+//!   share that the calling thread still expanded alone (before, or
+//!   without, recruiting helpers);
 //! * `--summary-json` — the same analysis as one machine-readable object.
 //!
 //! `--regress <BENCH_history.jsonl>` switches to perf-regression mode: the
@@ -179,11 +181,17 @@ fn name_of(e: &Json) -> &str {
 /// `--summary-json` object (the human renderer reads the same structure).
 fn analyze_trace(path: &Path, events: &[Json]) -> Json {
     let begin = events.iter().find(|e| name_of(e) == "explore.begin");
-    let frontier = begin
-        .and_then(|e| e.get("frontier"))
-        .and_then(Json::as_str)
-        .unwrap_or("unknown");
     let threads = begin.and_then(|e| field_i64(e, "threads")).unwrap_or(0);
+    // Where (if anywhere) the run handed its frontier to the pool.
+    let recruit = events
+        .iter()
+        .find(|e| name_of(e) == "explore.recruit")
+        .map_or(Json::Null, |e| {
+            Json::object()
+                .set("level", field_i64(e, "level").unwrap_or(-1))
+                .set("at_us", field_i64(e, "at_us").unwrap_or(0))
+                .set("helpers", field_i64(e, "helpers").unwrap_or(0))
+        });
     let t0 = events.iter().filter_map(|e| field_i64(e, "t_us")).min();
     let t1 = events.iter().filter_map(|e| field_i64(e, "t_us")).max();
     let span_us = match (t0, t1) {
@@ -194,7 +202,7 @@ fn analyze_trace(path: &Path, events: &[Json]) -> Json {
     let mut doc = Json::object()
         .set("trace", path.display().to_string())
         .set("events", events.len())
-        .set("frontier", frontier)
+        .set("recruit", recruit)
         .set("threads", threads)
         .set("span_us", span_us);
 
@@ -373,42 +381,47 @@ fn level_rows(events: &[Json]) -> Vec<Json> {
         .collect()
 }
 
-/// Level-sync analysis: phase split, widest level, and the wide levels
-/// that stayed sequential (underparallelized under a multi-thread run).
+/// Per-node cost (µs) from which a level is worth sharing: the engine's
+/// own recruitment gate opens for nodes this expensive (see
+/// `lbsa_explorer::explore`).
+const SHAREABLE_NODE_US: i64 = 50;
+
+/// Level analysis: how many levels the calling thread expanded and how
+/// many the pool did, the widest level, and the underparallelized levels —
+/// sequential levels of a multi-thread run whose nodes cost enough each to
+/// share, i.e. work the calling thread did alone before (or without)
+/// recruiting its helpers.
 fn level_analysis(levels: &[Json], threads: i64) -> Json {
     let count = levels.len();
-    let parallel = levels
+    let is_pooled = |l: &Json| l.get("pooled").and_then(Json::as_bool) == Some(true);
+    let pooled = levels.iter().filter(|l| is_pooled(l)).count();
+    let sequential_us: i64 = levels
         .iter()
-        .filter(|l| l.get("parallel").and_then(Json::as_bool) == Some(true))
-        .count();
-    let expand_us: i64 = levels
-        .iter()
-        .filter_map(|l| field_i64(l, "expand_us"))
+        .filter_map(|l| field_i64(l, "elapsed_us"))
         .sum();
-    let merge_us: i64 = levels.iter().filter_map(|l| field_i64(l, "merge_us")).sum();
     let widest = levels
         .iter()
         .filter_map(|l| field_i64(l, "width"))
         .max()
         .unwrap_or(0);
     let mut under = Vec::new();
-    for l in levels {
-        let width = field_i64(l, "width").unwrap_or(0);
-        let is_parallel = l.get("parallel").and_then(Json::as_bool) == Some(true);
-        if threads > 1 && !is_parallel && width >= threads * 2 {
+    for l in levels.iter().filter(|l| !is_pooled(l)) {
+        let width = field_i64(l, "width").unwrap_or(0).max(1);
+        let elapsed = field_i64(l, "elapsed_us").unwrap_or(0);
+        if threads > 1 && width >= threads && elapsed >= SHAREABLE_NODE_US * width {
             under.push(
                 Json::object()
                     .set("level", field_i64(l, "level").unwrap_or(-1))
-                    .set("width", width),
+                    .set("width", width)
+                    .set("us_per_node", elapsed / width),
             );
         }
     }
     Json::object()
         .set("count", count)
-        .set("parallel", parallel)
+        .set("pooled", pooled)
         .set("widest", widest)
-        .set("expand_us", expand_us)
-        .set("merge_us", merge_us)
+        .set("sequential_us", sequential_us)
         .set("underparallelized", Json::Arr(under))
 }
 
@@ -551,13 +564,18 @@ fn render_gantt(events: &[Json], workers: &[Json]) -> Vec<String> {
 fn render_human(summary: &Json, events: &[Json]) {
     let trace = summary.get("trace").and_then(Json::as_str).unwrap_or("?");
     println!("== {trace}");
+    let recruit = match summary.get("recruit") {
+        Some(r) if *r != Json::Null => format!(
+            "recruited {} helpers at level {} ({}us)",
+            r.get("helpers").and_then(Json::as_i64).unwrap_or(0),
+            r.get("level").and_then(Json::as_i64).unwrap_or(-1),
+            r.get("at_us").and_then(Json::as_i64).unwrap_or(0),
+        ),
+        _ => "sequential".to_string(),
+    };
     println!(
-        "   {} events, frontier {}, {} threads, span {}us",
+        "   {} events, {recruit}, {} threads, span {}us",
         summary.get("events").and_then(Json::as_i64).unwrap_or(0),
-        summary
-            .get("frontier")
-            .and_then(Json::as_str)
-            .unwrap_or("?"),
         summary.get("threads").and_then(Json::as_i64).unwrap_or(0),
         summary.get("span_us").and_then(Json::as_i64).unwrap_or(0),
     );
@@ -600,19 +618,22 @@ fn render_human(summary: &Json, events: &[Json]) {
     }
     if let Some(levels) = summary.get("levels") {
         println!(
-            "-- levels: {} total, {} parallel, widest {}, expand {}us / merge {}us",
+            "-- levels: {} total, {} pooled, widest {}, sequential {}us",
             levels.get("count").and_then(Json::as_i64).unwrap_or(0),
-            levels.get("parallel").and_then(Json::as_i64).unwrap_or(0),
+            levels.get("pooled").and_then(Json::as_i64).unwrap_or(0),
             levels.get("widest").and_then(Json::as_i64).unwrap_or(0),
-            levels.get("expand_us").and_then(Json::as_i64).unwrap_or(0),
-            levels.get("merge_us").and_then(Json::as_i64).unwrap_or(0),
+            levels
+                .get("sequential_us")
+                .and_then(Json::as_i64)
+                .unwrap_or(0),
         );
         if let Some(under) = levels.get("underparallelized").and_then(Json::as_arr) {
             for l in under {
                 println!(
-                    "  !! underparallelized level {} (width {} stayed sequential)",
+                    "  !! underparallelized level {} (width {}, {}us per node, expanded by the calling thread alone)",
                     field_i64(l, "level").unwrap_or(-1),
                     field_i64(l, "width").unwrap_or(0),
+                    field_i64(l, "us_per_node").unwrap_or(0),
                 );
             }
         }
@@ -814,9 +835,7 @@ mod tests {
     #[test]
     fn worker_rows_attribute_steals_to_victims() {
         let events = vec![
-            ev(
-                r#"{"seq":0,"t_us":0,"event":"explore.begin","threads":2,"frontier":"work-stealing"}"#,
-            ),
+            ev(r#"{"seq":0,"t_us":0,"event":"explore.begin","threads":2,"force_parallel":true}"#),
             ev(
                 r#"{"seq":1,"t_us":5,"event":"ws.steal","worker":1,"victim":0,"outcome":"hit","latency_us":2}"#,
             ),
@@ -905,15 +924,14 @@ mod tests {
     #[test]
     fn underparallelized_levels_are_flagged() {
         let levels = vec![
-            ev(
-                r#"{"event":"level","level":0,"width":1,"parallel":false,"expand_us":5,"merge_us":0,"elapsed_us":5}"#,
-            ),
-            ev(
-                r#"{"event":"level","level":1,"width":64,"parallel":false,"expand_us":90,"merge_us":0,"elapsed_us":90}"#,
-            ),
-            ev(
-                r#"{"event":"level","level":2,"width":64,"parallel":true,"expand_us":40,"merge_us":10,"elapsed_us":50}"#,
-            ),
+            // Too narrow to share.
+            ev(r#"{"event":"level","level":0,"width":1,"elapsed_us":500,"pooled":false}"#),
+            // Wide and costly per node (60us), yet sequential: flagged.
+            ev(r#"{"event":"level","level":1,"width":64,"elapsed_us":3840,"pooled":false}"#),
+            // Wide but cheap per node (1us): the gate is right to keep it.
+            ev(r#"{"event":"level","level":2,"width":64,"elapsed_us":64,"pooled":false}"#),
+            // Expanded by the pool.
+            ev(r#"{"event":"level","level":3,"width":64,"elapsed_us":0,"pooled":true}"#),
         ];
         let analysis = level_analysis(&levels, 4);
         let under = analysis
@@ -922,6 +940,8 @@ mod tests {
             .expect("list");
         assert_eq!(under.len(), 1);
         assert_eq!(field_i64(&under[0], "level"), Some(1));
+        assert_eq!(field_i64(&under[0], "us_per_node"), Some(60));
+        assert_eq!(analysis.get("pooled").and_then(Json::as_i64), Some(1));
         // Single-threaded runs are sequential by request, not a pathology.
         let single = level_analysis(&levels, 1);
         assert!(single
@@ -952,7 +972,7 @@ mod tests {
         assert_eq!(shade(0.1), '░');
         assert_eq!(shade(0.0), '·');
         let events = vec![
-            ev(r#"{"event":"explore.begin","t_us":0,"threads":1,"frontier":"work-stealing"}"#),
+            ev(r#"{"event":"explore.begin","t_us":0,"threads":1}"#),
             ev(r#"{"event":"ws.expand","t_us":10,"worker":0,"expanded":1,"busy_us":8}"#),
             ev(r#"{"event":"ws.done","t_us":100,"worker":0,"expanded":40,"busy_us":95}"#),
         ];

@@ -4,8 +4,8 @@
 //! Usage: `profile_t2 [iters] [--n N] [--symmetric] [--ws] [--kset]
 //! [--trace FILE]`. The default is 2000 iterations of the raw n = 4
 //! exploration; `--symmetric` profiles the symmetry-reduced (orbit)
-//! exploration, `--ws` switches the frontier to work-stealing (auto
-//! thread count), and `--kset` profiles the k-set-agreement race
+//! exploration, `--ws` recruits the work-stealing pool at the root
+//! (`force_parallel`, auto thread count), and `--kset` profiles the k-set-agreement race
 //! (`KSetViaStrongSa` over a strong 2-SA object) instead of Algorithm 2.
 //! `--trace FILE` attaches a JSONL tracer to the *last* iteration only
 //! (the earlier iterations warm up untraced), producing an
@@ -21,7 +21,7 @@
 
 use lbsa_bench::{distinct_inputs, mixed_binary_inputs};
 use lbsa_core::{AnyObject, ObjId, Pid};
-use lbsa_explorer::{Exploration, Explorer, Frontier, JsonlSink, Registry, Tracer};
+use lbsa_explorer::{Exploration, Explorer, JsonlSink, Registry, Tracer};
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_protocols::set_agreement_protocols::KSetViaStrongSa;
 use lbsa_runtime::process::{Protocol, Symmetry};
@@ -106,9 +106,7 @@ where
             e = e.symmetric();
         }
         if ws {
-            e = e
-                .frontier(Frontier::WorkStealing)
-                .threads(threads.unwrap_or(0));
+            e = e.force_parallel().threads(threads.unwrap_or(0));
         }
         e
     };

@@ -1,36 +1,31 @@
 //! Parallel determinism: the exploration engine must build **byte-identical**
 //! execution graphs for every worker thread count — node indices, edge
 //! order, truncation behaviour, everything. These tests pin that contract on
-//! the real experiment workloads (Algorithm 2), on an intentionally cyclic
-//! protocol, and on randomized small protocols.
+//! the real experiment workloads (Algorithm 2, raw and symmetry-reduced),
+//! on an intentionally cyclic protocol, and on randomized small protocols.
 //!
-//! Every multi-threaded run here bypasses the adaptive parallel gate with
-//! [`force_parallel`](lbsa_explorer::Exploration::force_parallel): on a
-//! single-core box the gate (correctly) routes every level through the
-//! sequential path, which would make these tests vacuous. Forcing the
-//! parallel path keeps the classify/stitch merge machinery covered
-//! regardless of the host's core count.
-//!
-//! The work-stealing frontier ([`Frontier::WorkStealing`]) deliberately
-//! trades byte-identity for throughput: node indices follow discovery
-//! order, which is scheduling-dependent. Its contract is **verdict
-//! equality** — the same state space (up to re-indexing), the same stats
-//! aggregates, and the same verdict for every checked property, at every
-//! thread count. The `ws_*` tests at the bottom pin that contract on the
-//! T2 workload (a property that holds) and on a broken consensus protocol
-//! (a property that is violated, where the witness must still confirm by
-//! deterministic replay even though the graph it was extracted from is
-//! indexed differently).
+//! Every case runs at threads 1/2/4/8, each both under the natural cost
+//! gate and with [`force_parallel`](lbsa_explorer::Exploration::force_parallel),
+//! which recruits the work-stealing pool at the root. Small graphs never
+//! open the natural gate, so the forced runs are what keep the hand-off —
+//! the pool, its canonical renumbering, and the sequential rerun of a
+//! hand-off that would truncate — covered on every host. Each run must
+//! match the `threads(1)` graph and its `structural_digest`. One case runs
+//! at the auto thread count, so CI's `LBSA_EXPLORE_THREADS` matrix drives
+//! the forced hand-off too.
 
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::checker::Violation;
 use lbsa_explorer::verdict::{verdict_dac_graph, verdict_k_set_agreement_graph, Outcome};
-use lbsa_explorer::{ExplorationGraph, Explorer, Frontier, Limits};
+use lbsa_explorer::{Exploration, ExplorationGraph, Explorer, Limits};
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_runtime::process::{Protocol, Step, Symmetry};
 use lbsa_support::check::run_cases;
 use lbsa_support::rng::SmallRng;
+
+/// Thread counts every case runs at.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Field-by-field graph equality with a readable failure message.
 /// (`ExplorationGraph` deliberately does not implement `PartialEq`; graphs
@@ -49,18 +44,57 @@ fn assert_same_graph<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
         a.transitions, b.transitions,
         "{what}: transition counts differ"
     );
+    assert_eq!(
+        a.structural_digest(),
+        b.structural_digest(),
+        "{what}: structural digests differ"
+    );
+    // The stats that describe the graph's shape come from the canonical
+    // pass on a handed-off run, so they match the sequential ones too.
+    assert_eq!(a.stats.configs, b.stats.configs, "{what}: stats.configs");
+    assert_eq!(
+        a.stats.dedup_hits, b.stats.dedup_hits,
+        "{what}: stats.dedup_hits"
+    );
+    assert_eq!(
+        a.stats.peak_frontier, b.stats.peak_frontier,
+        "{what}: stats.peak_frontier"
+    );
+    assert_eq!(a.stats.depth(), b.stats.depth(), "{what}: stats.depth()");
 }
 
-fn explore_with_threads<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    limits: Limits,
-    threads: usize,
-) -> ExplorationGraph<P::LocalState> {
-    let mut e = explorer.exploration().limits(limits).threads(threads);
-    if threads > 1 {
-        e = e.force_parallel();
+/// Runs `build` at every thread count in [`THREADS`], under the natural
+/// gate and with `force_parallel`, and checks each graph against the
+/// `threads(1)` one. Returns the reference graph.
+fn assert_thread_count_independent<'e, 'a: 'e, P>(
+    build: impl Fn() -> Exploration<'e, 'a, P>,
+    what: &str,
+) -> ExplorationGraph<P::LocalState>
+where
+    P: Protocol + 'a,
+    P::LocalState: Clone + Eq + std::hash::Hash + std::fmt::Debug,
+{
+    let reference = build().threads(1).run().expect("exploration succeeds");
+    for threads in THREADS {
+        for forced in [false, true] {
+            let mut e = build().threads(threads);
+            if forced {
+                e = e.force_parallel();
+            }
+            let graph = e.run().expect("exploration succeeds");
+            let label = format!("{what}, {threads} threads, forced {forced}");
+            assert_same_graph(&reference, &graph, &label);
+            if forced && threads > 1 {
+                let recruit = graph.stats.recruit.expect("forced runs recruit");
+                assert_eq!(recruit.level, 0, "{label}: forced runs recruit at the root");
+                assert_eq!(recruit.helpers, threads - 1, "{label}: helper count");
+                // A complete graph comes from the pool; a truncated one
+                // from the sequential rerun.
+                assert_eq!(recruit.rerun, !reference.complete, "{label}: rerun");
+            }
+        }
     }
-    e.run().expect("exploration succeeds")
+    reference
 }
 
 fn mixed_binary_inputs(count: usize) -> Vec<Value> {
@@ -69,39 +103,118 @@ fn mixed_binary_inputs(count: usize) -> Vec<Value> {
 
 #[test]
 fn t2_dac_graphs_are_thread_count_independent() {
-    for n in [2usize, 3] {
+    for n in [2usize, 3, 4, 5] {
         let p = DacFromPac::new(mixed_binary_inputs(n), Pid(0), ObjId(0)).unwrap();
         let objects = vec![AnyObject::pac(n).unwrap()];
         let explorer = Explorer::new(&p, &objects);
-        let sequential = explore_with_threads(&explorer, Limits::default(), 1);
-        assert!(sequential.complete);
-        for threads in [2usize, 3, 8] {
-            let parallel = explore_with_threads(&explorer, Limits::default(), threads);
-            assert_same_graph(
-                &sequential,
-                &parallel,
-                &format!("T2 n={n}, {threads} threads"),
-            );
-        }
+        let graph =
+            assert_thread_count_independent(|| explorer.exploration(), &format!("T2 n={n}"));
+        assert!(graph.complete);
+    }
+}
+
+#[test]
+fn t2_dac_symmetric_graphs_are_thread_count_independent() {
+    for n in [3usize, 5, 6] {
+        // Process 0 holds 1, the rest 0: symmetric under S_{n-1}.
+        let p = DacFromPac::new(lbsa_bench::mixed_binary_inputs(n), Pid(0), ObjId(0)).unwrap();
+        let objects = vec![AnyObject::pac(n).unwrap()];
+        let explorer = Explorer::new(&p, &objects);
+        let graph = assert_thread_count_independent(
+            || explorer.exploration().symmetric(),
+            &format!("symmetric T2 n={n}"),
+        );
+        assert!(graph.complete && graph.stats.reduced);
     }
 }
 
 #[test]
 fn t2_dac_truncated_graphs_are_thread_count_independent() {
+    // Truncated runs must equal the `threads(1)` BFS prefix; a forced
+    // hand-off runs past the budget and is redone sequentially.
     let p = DacFromPac::new(mixed_binary_inputs(3), Pid(0), ObjId(0)).unwrap();
     let objects = vec![AnyObject::pac(3).unwrap()];
     let explorer = Explorer::new(&p, &objects);
-    for budget in [1usize, 7, 40] {
-        let sequential = explore_with_threads(&explorer, Limits::new(budget), 1);
-        assert!(!sequential.complete || budget >= 40);
-        for threads in [2usize, 4] {
-            let parallel = explore_with_threads(&explorer, Limits::new(budget), threads);
-            assert_same_graph(
-                &sequential,
-                &parallel,
-                &format!("T2 n=3 truncated to {budget}, {threads} threads"),
-            );
-        }
+    for budget in [1usize, 7, 40, 73, 74] {
+        let graph = assert_thread_count_independent(
+            || explorer.exploration().max_configs(budget),
+            &format!("T2 n=3 truncated to {budget}"),
+        );
+        assert_eq!(
+            graph.complete,
+            budget >= graph.configs.len(),
+            "budget {budget}"
+        );
+    }
+    let p = DacFromPac::new(lbsa_bench::mixed_binary_inputs(5), Pid(0), ObjId(0)).unwrap();
+    let objects = vec![AnyObject::pac(5).unwrap()];
+    let explorer = Explorer::new(&p, &objects);
+    for budget in [20usize, 60] {
+        assert_thread_count_independent(
+            || explorer.exploration().symmetric().max_configs(budget),
+            &format!("symmetric T2 n=5 truncated to {budget}"),
+        );
+    }
+}
+
+#[test]
+fn forced_hand_off_over_budget_falls_back_to_the_sequential_engine() {
+    let p = DacFromPac::new(mixed_binary_inputs(4), Pid(0), ObjId(0)).unwrap();
+    let objects = vec![AnyObject::pac(4).unwrap()];
+    let explorer = Explorer::new(&p, &objects);
+    let budget = 100;
+    let sequential = explorer
+        .exploration()
+        .max_configs(budget)
+        .threads(1)
+        .run()
+        .unwrap();
+    assert!(!sequential.complete);
+    let forced = explorer
+        .exploration()
+        .max_configs(budget)
+        .threads(2)
+        .force_parallel()
+        .run()
+        .unwrap();
+    let recruit = forced.stats.recruit.expect("the forced run recruited");
+    assert!(recruit.rerun, "the pool ran past the budget");
+    assert!(!forced.stats.work_stealing());
+    assert!(
+        forced.stats.workers.is_empty(),
+        "the rerun graph is sequential"
+    );
+    assert_same_graph(&sequential, &forced, "forced hand-off over budget");
+    assert_eq!(forced.stats.expanded, budget);
+}
+
+#[test]
+fn auto_thread_count_forced_hand_off_matches_one_thread() {
+    // `threads(0)` resolves through `LBSA_EXPLORE_THREADS`, so the CI
+    // matrix (1, 2, host maximum) drives the forced hand-off here.
+    let p = DacFromPac::new(mixed_binary_inputs(4), Pid(0), ObjId(0)).unwrap();
+    let objects = vec![AnyObject::pac(4).unwrap()];
+    let explorer = Explorer::new(&p, &objects);
+    for limits in [Limits::default(), Limits::new(50)] {
+        let reference = explorer
+            .exploration()
+            .limits(limits)
+            .threads(1)
+            .run()
+            .unwrap();
+        let auto = explorer
+            .exploration()
+            .limits(limits)
+            .threads(0)
+            .force_parallel()
+            .run()
+            .unwrap();
+        assert_same_graph(&reference, &auto, &format!("auto threads, {limits:?}"));
+        assert_eq!(
+            auto.stats.recruit.is_some(),
+            auto.stats.threads > 1,
+            "forced runs recruit exactly when they have helpers"
+        );
     }
 }
 
@@ -133,20 +246,12 @@ fn cyclic_graphs_are_thread_count_independent() {
     let p = ForeverProposer;
     let objects = vec![AnyObject::strong_sa()];
     let explorer = Explorer::new(&p, &objects);
-    let sequential = explore_with_threads(&explorer, Limits::default(), 1);
+    let sequential = assert_thread_count_independent(|| explorer.exploration(), "cyclic");
     assert!(
         sequential.complete,
         "finite state space despite the infinite execution"
     );
     assert!(sequential.has_cycle());
-    for threads in [2usize, 5] {
-        let parallel = explore_with_threads(&explorer, Limits::default(), threads);
-        assert_same_graph(
-            &sequential,
-            &parallel,
-            &format!("cyclic, {threads} threads"),
-        );
-    }
 }
 
 /// What a [`ScriptedProtocol`] process does with the response it got, as a
@@ -226,42 +331,30 @@ impl Protocol for ScriptedProtocol {
     }
 }
 
-/// Runs the work-stealing frontier with an explicit worker count.
+/// Runs with the pool recruited at the root, at an explicit worker count.
 fn explore_ws<P: Protocol>(
     explorer: &Explorer<'_, P>,
     threads: usize,
 ) -> ExplorationGraph<P::LocalState> {
     explorer
         .exploration()
-        .frontier(Frontier::WorkStealing)
+        .force_parallel()
         .threads(threads)
         .run()
         .expect("exploration succeeds")
 }
 
-/// The stats aggregates that must agree between the deterministic and the
-/// work-stealing engines: everything that describes the state space rather
-/// than the schedule that discovered it.
-fn assert_same_aggregates<L>(det: &ExplorationGraph<L>, ws: &ExplorationGraph<L>, what: &str) {
-    assert_eq!(
-        det.configs.len(),
-        ws.configs.len(),
-        "{what}: config counts differ"
-    );
-    assert_eq!(
-        det.transitions, ws.transitions,
-        "{what}: transition counts differ"
-    );
-    assert_eq!(det.complete, ws.complete, "{what}: completeness differs");
-    assert_eq!(
-        det.stats.dedup_hits, ws.stats.dedup_hits,
-        "{what}: dedup hits differ"
-    );
-    assert_eq!(
-        ws.stats.local_hits + ws.stats.steals,
-        ws.configs.len() as u64,
-        "{what}: every config is either popped locally or stolen"
-    );
+/// The work-stealing run's own accounting: every configuration past the
+/// root-level hand-off is popped locally or stolen exactly once.
+fn assert_pool_accounting<L>(ws: &ExplorationGraph<L>, threads: usize, what: &str) {
+    assert_eq!(ws.stats.work_stealing(), threads > 1, "{what}: recruited");
+    if threads > 1 {
+        assert_eq!(
+            ws.stats.local_hits + ws.stats.steals,
+            ws.configs.len() as u64,
+            "{what}: every config is either popped locally or stolen"
+        );
+    }
 }
 
 #[test]
@@ -271,15 +364,17 @@ fn ws_dac_verdicts_match_deterministic_across_thread_counts() {
         let objects = vec![AnyObject::pac(n).unwrap()];
         let explorer = Explorer::new(&p, &objects);
         let solo_bound = 6 * n;
-        let det = explore_with_threads(&explorer, Limits::default(), 1);
+        let det = explorer.exploration().threads(1).run().unwrap();
         let det_verdict = verdict_dac_graph(&explorer, &det, &p.instance(), solo_bound);
         assert!(
             matches!(det_verdict.outcome, Outcome::Holds),
             "T2 n={n} must satisfy DAC: {det_verdict}"
         );
-        for threads in [1usize, 2, 4, 8] {
+        for threads in THREADS {
             let ws = explore_ws(&explorer, threads);
-            assert_same_aggregates(&det, &ws, &format!("T2 n={n}, ws {threads} threads"));
+            let what = format!("T2 n={n}, ws {threads} threads");
+            assert_same_graph(&det, &ws, &what);
+            assert_pool_accounting(&ws, threads, &what);
             let ws_verdict = verdict_dac_graph(&explorer, &ws, &p.instance(), solo_bound);
             assert_eq!(
                 det_verdict, ws_verdict,
@@ -291,8 +386,7 @@ fn ws_dac_verdicts_match_deterministic_across_thread_counts() {
 
 /// Consensus with a broken adopt rule: a loser decides its own input, so
 /// Agreement is violated — the work-stealing graph must yield the same
-/// violated verdict, and its witness (extracted from a differently-indexed
-/// graph) must still confirm by deterministic replay.
+/// violated verdict, with the same witness, which confirms by replay.
 #[derive(Debug)]
 struct BrokenAdoptConsensus {
     inputs: Vec<Value>,
@@ -325,23 +419,20 @@ fn ws_broken_consensus_verdicts_match_deterministic_across_thread_counts() {
     };
     let objects = vec![AnyObject::consensus(3).unwrap()];
     let explorer = Explorer::new(&p, &objects);
-    let det = explore_with_threads(&explorer, Limits::default(), 1);
+    let det = explorer.exploration().threads(1).run().unwrap();
     let det_verdict = verdict_k_set_agreement_graph(&explorer, &det, 1, &inputs);
     assert!(
         det_verdict.is_violated(),
         "the broken protocol must violate agreement: {det_verdict}"
     );
-    for threads in [1usize, 2, 4, 8] {
+    for threads in THREADS {
         let ws = explore_ws(&explorer, threads);
-        assert_same_aggregates(
-            &det,
-            &ws,
-            &format!("broken consensus, ws {threads} threads"),
-        );
+        let what = format!("broken consensus, ws {threads} threads");
+        assert_same_graph(&det, &ws, &what);
+        assert_pool_accounting(&ws, threads, &what);
         let ws_verdict = verdict_k_set_agreement_graph(&explorer, &ws, 1, &inputs);
-        // The *kind* of verdict must agree; the specific violating
-        // configuration a check reports first is indexing-dependent, so the
-        // payload is pinned through witness replay instead.
+        // Identical graphs give identical verdicts, witness included.
+        assert_eq!(det_verdict, ws_verdict, "{what}: verdict differs");
         assert!(
             matches!(
                 ws_verdict.outcome,
@@ -404,16 +495,18 @@ fn ws_symmetric_reduction_matches_deterministic_across_thread_counts() {
         matches!(det_verdict.outcome, Outcome::Holds),
         "the symmetric race satisfies consensus: {det_verdict}"
     );
-    for threads in [1usize, 2, 4, 8] {
+    for threads in THREADS {
         let ws = explorer
             .exploration()
             .symmetric()
             .threads(threads)
-            .frontier(Frontier::WorkStealing)
+            .force_parallel()
             .run()
             .expect("work-stealing reduced exploration succeeds");
         assert!(ws.stats.reduced);
-        assert_same_aggregates(&det, &ws, &format!("symmetric race, ws {threads} threads"));
+        let what = format!("symmetric race, ws {threads} threads");
+        assert_same_graph(&det, &ws, &what);
+        assert_pool_accounting(&ws, threads, &what);
         // The canonicalization effort is accounted identically: every
         // transition either patched a cached canonical form or recomputed
         // one in full.
@@ -448,13 +541,9 @@ fn random_small_protocols_are_thread_count_independent() {
         } else {
             Limits::default()
         };
-        let sequential = explore_with_threads(&explorer, limits, 1);
-        let threads = rng.random_range(2..7);
-        let parallel = explore_with_threads(&explorer, limits, threads);
-        assert_same_graph(
-            &sequential,
-            &parallel,
-            &format!("random protocol n={n} phases={phases} threads={threads}"),
+        assert_thread_count_independent(
+            || explorer.exploration().limits(limits),
+            &format!("random protocol n={n} phases={phases}"),
         );
     });
 }

@@ -5,14 +5,21 @@
 //! (`metrics.explore` in the report artifacts, `summary()`'s
 //! expand-/merge-bound diagnosis) reports to users — a drift between the
 //! levels and the totals would silently corrupt every trace downstream.
+//!
+//! Every exhaustive case runs at threads 1/2/4/8, under the natural cost
+//! gate and with `force_parallel` (the work-stealing pool recruited at the
+//! root): a handed-off run's levels come from the canonical renumbering
+//! pass, so they must reconcile exactly like the sequential ones.
 
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Pid};
 use lbsa_explorer::{
-    ExploreStats, Explorer, Frontier, Limits, MemorySink, Registry, SampleConfig, Tracer,
+    Exploration, ExplorationGraph, ExploreStats, Explorer, Limits, MemorySink, Registry,
+    SampleConfig, Tracer,
 };
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_protocols::dac::DacFromPac;
+use lbsa_runtime::process::Protocol;
 use lbsa_support::json::Json;
 use lbsa_support::obs::Event;
 use std::time::Duration;
@@ -28,11 +35,33 @@ fn assert_invariants(stats: &ExploreStats, what: &str) {
         level_transitions, stats.transitions,
         "{what}: sum of level transitions must equal total transitions"
     );
-    let parallel_levels = stats.levels.iter().filter(|l| l.parallel).count();
-    assert_eq!(
-        parallel_levels, stats.parallel_levels,
-        "{what}: parallel_levels must count the levels flagged parallel"
-    );
+    // The peak frontier is the widest level; a truncated run's last
+    // frontier counts in full, though only part of it was expanded.
+    let widest = stats.levels.iter().map(|l| l.width).max().unwrap_or(0);
+    if stats.expanded == stats.configs {
+        assert_eq!(widest, stats.peak_frontier, "{what}: peak frontier");
+    } else {
+        assert!(widest <= stats.peak_frontier, "{what}: peak frontier");
+    }
+    if let Some(recruit) = stats.recruit {
+        assert!(recruit.level <= stats.levels.len(), "{what}: recruit level");
+        assert_eq!(recruit.helpers + 1, stats.threads, "{what}: helper count");
+        if stats.work_stealing() {
+            assert_eq!(
+                stats.workers.len(),
+                stats.threads,
+                "{what}: one row per worker"
+            );
+            let pooled: usize = stats.levels[recruit.level..].iter().map(|l| l.width).sum();
+            assert_eq!(
+                stats.workers.iter().map(|w| w.expanded).sum::<usize>(),
+                pooled,
+                "{what}: the pool expanded exactly the levels from the recruit point"
+            );
+        }
+    } else {
+        assert!(stats.workers.is_empty(), "{what}: no pool, no worker rows");
+    }
     for (i, l) in stats.levels.iter().enumerate() {
         assert_eq!(
             l.level, i,
@@ -47,17 +76,59 @@ fn assert_invariants(stats: &ExploreStats, what: &str) {
     );
 }
 
+/// Runs `build` at threads 1/2/4/8, under the natural gate and forced,
+/// checks the invariants on every run, and returns the graphs.
+fn all_runs<'e, 'a: 'e, P: Protocol + 'a>(
+    build: impl Fn() -> Exploration<'e, 'a, P>,
+    what: &str,
+) -> Vec<ExplorationGraph<P::LocalState>> {
+    let mut graphs = Vec::new();
+    for threads in [1usize, 2, 4, 8] {
+        for forced in [false, true] {
+            let mut e = build().threads(threads);
+            if forced {
+                e = e.force_parallel();
+            }
+            let g = e.run().expect("explorable");
+            assert_invariants(
+                &g.stats,
+                &format!("{what}, {threads} threads, forced {forced}"),
+            );
+            if forced && threads > 1 {
+                assert!(g.stats.recruit.is_some(), "{what}: forced runs recruit");
+            }
+            graphs.push(g);
+        }
+    }
+    graphs
+}
+
 #[test]
 fn dac_exploration_stats_reconcile() {
     for n in [2usize, 3, 4] {
         let p = DacFromPac::new(mixed_binary_inputs(n), Pid(0), ObjId(0)).expect("n >= 2");
         let objects = vec![AnyObject::pac(n).expect("valid")];
-        let g = Explorer::new(&p, &objects)
-            .exploration()
-            .limits(Limits::new(1_000_000))
-            .run()
-            .expect("explorable");
-        assert_invariants(&g.stats, &format!("dac n={n}"));
+        let explorer = Explorer::new(&p, &objects);
+        all_runs(
+            || explorer.exploration().limits(Limits::new(1_000_000)),
+            &format!("dac n={n}"),
+        );
+    }
+}
+
+#[test]
+fn truncated_exploration_stats_reconcile() {
+    let p = DacFromPac::new(mixed_binary_inputs(4), Pid(0), ObjId(0)).expect("n >= 2");
+    let objects = vec![AnyObject::pac(4).expect("valid")];
+    let explorer = Explorer::new(&p, &objects);
+    for budget in [1usize, 30, 100] {
+        for g in all_runs(
+            || explorer.exploration().max_configs(budget),
+            &format!("dac n=4 truncated to {budget}"),
+        ) {
+            assert!(!g.complete);
+            assert_eq!(g.stats.expanded, budget, "budget {budget} spent exactly");
+        }
     }
 }
 
@@ -65,50 +136,46 @@ fn dac_exploration_stats_reconcile() {
 fn consensus_race_stats_reconcile() {
     let p = ConsensusViaObject::new(mixed_binary_inputs(4), ObjId(0));
     let objects = vec![AnyObject::consensus(4).expect("valid")];
-    let g = Explorer::new(&p, &objects)
-        .exploration()
-        .run()
-        .expect("explorable");
-    assert_invariants(&g.stats, "consensus race n=4");
+    let explorer = Explorer::new(&p, &objects);
+    all_runs(|| explorer.exploration(), "consensus race n=4");
 }
 
 #[test]
 fn reduced_exploration_stats_reconcile() {
-    let p = DacFromPac::new(mixed_binary_inputs(4), Pid(0), ObjId(0)).expect("n >= 2");
-    let objects = vec![AnyObject::pac(4).expect("valid")];
-    let g = Explorer::new(&p, &objects)
-        .exploration()
-        .symmetric()
-        .run()
-        .expect("explorable");
-    assert!(g.stats.reduced, "symmetric run must set the reduced flag");
-    assert_invariants(&g.stats, "dac n=4 reduced");
+    for n in [4usize, 5, 6] {
+        let p = DacFromPac::new(mixed_binary_inputs(n), Pid(0), ObjId(0)).expect("n >= 2");
+        let objects = vec![AnyObject::pac(n).expect("valid")];
+        let explorer = Explorer::new(&p, &objects);
+        for g in all_runs(
+            || explorer.exploration().symmetric(),
+            &format!("dac n={n} reduced"),
+        ) {
+            assert!(g.stats.reduced, "symmetric run must set the reduced flag");
+        }
+    }
 }
 
-/// The work-stealing frontier has no levels — its stats reconcile through
-/// the aggregate counters instead: every discovered config is either a
-/// local pop or a steal, and on a complete run every transition either
-/// discovered a new config or hit the dedup index.
+/// A run handed off at the root reconciles through the pool's own
+/// counters too: every discovered config is either a local pop or a
+/// steal, and on a complete run every transition either discovered a new
+/// config or hit the dedup index.
 #[test]
 fn work_stealing_stats_reconcile() {
     let p = DacFromPac::new(mixed_binary_inputs(4), Pid(0), ObjId(0)).expect("n >= 2");
     let objects = vec![AnyObject::pac(4).expect("valid")];
-    for threads in [1usize, 2, 4] {
+    for threads in [2usize, 4, 8] {
         let g = Explorer::new(&p, &objects)
             .exploration()
-            .frontier(Frontier::WorkStealing)
+            .force_parallel()
             .threads(threads)
             .run()
             .expect("explorable");
         let what = format!("dac n=4 work-stealing, {threads} threads");
         let stats = &g.stats;
+        assert!(stats.work_stealing(), "{what}: the pool built the graph");
         assert!(
-            stats.work_stealing,
-            "{what}: work_stealing flag must be set"
-        );
-        assert!(
-            stats.levels.is_empty(),
-            "{what}: the barrier-free frontier has no per-level breakdown"
+            !stats.levels.is_empty(),
+            "{what}: the canonical pass reconstructs the levels"
         );
         assert!(g.complete, "{what}: unbounded run must complete");
         assert_eq!(
@@ -141,13 +208,13 @@ fn work_stealing_reduced_stats_reconcile() {
     let objects = vec![AnyObject::pac(4).expect("valid")];
     let g = Explorer::new(&p, &objects)
         .exploration()
-        .frontier(Frontier::WorkStealing)
+        .force_parallel()
         .threads(2)
         .symmetric()
         .run()
         .expect("explorable");
     let stats = &g.stats;
-    assert!(stats.reduced && stats.work_stealing);
+    assert!(stats.reduced && stats.work_stealing());
     assert_eq!(
         stats.canon_patches + stats.canon_full,
         stats.transitions as u64,
@@ -165,28 +232,35 @@ fn forced_parallel_stats_reconcile() {
         .force_parallel()
         .run()
         .expect("explorable");
-    assert!(
-        g.stats.parallel_levels > 0,
-        "forced parallel run must record parallel levels"
+    let recruit = g.stats.recruit.expect("forced parallel run must recruit");
+    assert_eq!(
+        (recruit.level, recruit.helpers, recruit.rerun),
+        (0, 1, false)
     );
+    assert!(g.stats.phases.merge > Duration::ZERO, "assembly is timed");
     assert_invariants(&g.stats, "dac n=4 forced-parallel");
 }
 
 /// Shared schema/ordering checks on a run's `progress` event stream: every
 /// event carries the numeric fields `exp_report --validate-trace` demands,
 /// `configs` and timestamps never go backwards, and the stream ends with
-/// exactly one `final` event.
-fn assert_progress_invariants(events: &[Event], strategy: &str, what: &str) {
+/// exactly one `final` event. The strategy tags follow `strategies` in
+/// order (an exhaustive run is `level-sync` until it recruits, then
+/// `work-stealing`), and the last one closes the stream.
+fn assert_progress_invariants(events: &[Event], strategies: &[&str], what: &str) {
     assert!(!events.is_empty(), "{what}: at least the final event");
     let mut prev_configs = -1i64;
     let mut prev_t = 0u64;
+    let mut phase = 0usize;
     for e in events {
         assert_eq!(e.name, "progress");
-        assert_eq!(
-            e.fields.get("strategy").and_then(Json::as_str),
-            Some(strategy),
-            "{what}: strategy tag"
-        );
+        let tag = e.fields.get("strategy").and_then(Json::as_str);
+        let at = strategies
+            .iter()
+            .position(|s| Some(*s) == tag)
+            .unwrap_or_else(|| panic!("{what}: unexpected strategy tag {tag:?}"));
+        assert!(at >= phase, "{what}: strategy tags out of order");
+        phase = at;
         let configs = e
             .fields
             .get("configs")
@@ -226,6 +300,13 @@ fn assert_progress_invariants(events: &[Event], strategy: &str, what: &str) {
     assert_eq!(
         events
             .last()
+            .and_then(|e| e.fields.get("strategy").and_then(Json::as_str)),
+        strategies.last().copied(),
+        "{what}: the stream ends in the last strategy"
+    );
+    assert_eq!(
+        events
+            .last()
             .and_then(|e| e.fields.get("final").and_then(Json::as_bool)),
         Some(true),
         "{what}: the final event closes the stream"
@@ -233,7 +314,8 @@ fn assert_progress_invariants(events: &[Event], strategy: &str, what: &str) {
 }
 
 /// The acceptance workload of the live-observability layer: a 4-thread
-/// work-stealing T2 (DAC) run streaming progress at a short cadence. The
+/// T2 (DAC) run handed to the work-stealing pool at the root, streaming
+/// progress at a short cadence. The
 /// events must be schema-valid, monotone, and reconcile against the final
 /// [`ExploreStats`]; the run is long enough (n = 6 in a debug build) that
 /// several periodic ticks land before the final event.
@@ -246,7 +328,7 @@ fn work_stealing_progress_events_reconcile_with_final_stats() {
     let period = Duration::from_millis(1);
     let g = Explorer::new(&p, &objects)
         .exploration()
-        .frontier(Frontier::WorkStealing)
+        .force_parallel()
         .threads(4)
         .registry(registry.clone())
         .progress_every(period)
@@ -258,7 +340,7 @@ fn work_stealing_progress_events_reconcile_with_final_stats() {
         .into_iter()
         .filter(|e| e.name == "progress")
         .collect();
-    assert_progress_invariants(&events, "work-stealing", "dac n=6 ws");
+    assert_progress_invariants(&events, &["level-sync", "work-stealing"], "dac n=6 ws");
     if g.stats.elapsed >= period * 10 {
         assert!(
             events.len() >= 5,
@@ -302,8 +384,9 @@ fn work_stealing_progress_events_reconcile_with_final_stats() {
     );
 }
 
-/// Level-synchronous runs stream the same schema with the `level-sync`
-/// strategy tag, and the live counters end exactly at the stats totals.
+/// Runs that stay on the sequential BFS stream the same schema with the
+/// `level-sync` strategy tag, and the live counters end exactly at the
+/// stats totals.
 #[test]
 fn level_sync_progress_events_reconcile_with_final_stats() {
     let p = DacFromPac::new(mixed_binary_inputs(5), Pid(0), ObjId(0)).expect("n >= 2");
@@ -312,7 +395,7 @@ fn level_sync_progress_events_reconcile_with_final_stats() {
     let registry = Registry::new();
     let g = Explorer::new(&p, &objects)
         .exploration()
-        .threads(2)
+        .threads(1)
         .registry(registry.clone())
         .progress_every(Duration::from_millis(1))
         .trace(Tracer::new(sink.clone()))
@@ -323,7 +406,7 @@ fn level_sync_progress_events_reconcile_with_final_stats() {
         .into_iter()
         .filter(|e| e.name == "progress")
         .collect();
-    assert_progress_invariants(&events, "level-sync", "dac n=5 level-sync");
+    assert_progress_invariants(&events, &["level-sync"], "dac n=5 level-sync");
     assert_eq!(
         registry
             .snapshot()
@@ -364,7 +447,7 @@ fn sampling_progress_events_reconcile_with_the_report() {
         .into_iter()
         .filter(|e| e.name == "progress")
         .collect();
-    assert_progress_invariants(&events, "sampling", "sampled consensus n=3");
+    assert_progress_invariants(&events, &["sampling"], "sampled consensus n=3");
     assert_eq!(
         registry
             .snapshot()

@@ -162,27 +162,42 @@ fn reduced_nontermination_witnesses_pump_to_real_cycles() {
     }
 }
 
-/// Reduction composes with the parallel engine: with the adaptive gate
-/// bypassed (this box may have a single core), the symmetric exploration is
-/// byte-identical at every worker thread count.
+/// Reduction composes with the work-stealing hand-off: under the natural
+/// cost gate and with the pool recruited at the root, the symmetric
+/// exploration is byte-identical at every worker thread count, DAC n = 5
+/// and 6 included.
 #[test]
 fn reduced_graphs_are_thread_count_independent() {
-    let p = DacFromPac::new(vec![int(1), int(0), int(0), int(0)], Pid(0), ObjId(0)).unwrap();
-    let objects = vec![AnyObject::pac(4).unwrap()];
-    let ex = Explorer::new(&p, &objects);
-    let sequential = ex.exploration().threads(1).symmetric().run().unwrap();
-    assert!(sequential.complete);
-    for threads in [2usize, 8] {
-        let parallel = ex
-            .exploration()
-            .threads(threads)
-            .force_parallel()
-            .symmetric()
-            .run()
-            .unwrap();
-        assert!(
-            sequential.same_structure(&parallel),
-            "reduced graph differs at {threads} threads"
-        );
+    for n in [4usize, 5, 6] {
+        let mut inputs = vec![int(0); n];
+        inputs[0] = int(1);
+        let p = DacFromPac::new(inputs, Pid(0), ObjId(0)).unwrap();
+        let objects = vec![AnyObject::pac(n).unwrap()];
+        let ex = Explorer::new(&p, &objects);
+        let sequential = ex.exploration().threads(1).symmetric().run().unwrap();
+        assert!(sequential.complete && sequential.stats.reduced);
+        for threads in [1usize, 2, 4, 8] {
+            for forced in [false, true] {
+                let mut e = ex.exploration().threads(threads).symmetric();
+                if forced {
+                    e = e.force_parallel();
+                }
+                let parallel = e.run().unwrap();
+                assert!(
+                    sequential.same_structure(&parallel),
+                    "n={n}: reduced graph differs at {threads} threads (forced {forced})"
+                );
+                assert_eq!(
+                    sequential.structural_digest(),
+                    parallel.structural_digest(),
+                    "n={n}: digest differs at {threads} threads (forced {forced})"
+                );
+                // Forced runs always hand off; whether the natural gate
+                // does depends on how costly the build makes each orbit.
+                if forced && threads > 1 {
+                    assert!(parallel.stats.work_stealing(), "n={n}: forced hand-off");
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Trace-stream contracts under the concurrent engines.
 //!
 //! The `lbsa_support::obs` unit tests pin the sink mechanics in
-//! isolation; these tests drive the real work-stealing engine and check
+//! isolation; these tests drive the real work-stealing pool (recruited at
+//! the root with `force_parallel`) and check
 //! the two properties the trace *consumers* (`obs_analyze`, the `--regress`
 //! tracker) lean on:
 //!
@@ -20,7 +21,7 @@
 
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Pid};
-use lbsa_explorer::{Explorer, Frontier, JsonlSink, MemorySink, Tracer};
+use lbsa_explorer::{Explorer, JsonlSink, MemorySink, Tracer};
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_support::json::Json;
 
@@ -40,7 +41,7 @@ fn concurrent_ws_workers_emit_one_totally_ordered_stream() {
     let tracer = Tracer::new(sink.clone());
     let g = explorer
         .exploration()
-        .frontier(Frontier::WorkStealing)
+        .force_parallel()
         .threads(4)
         .trace(tracer.clone())
         .run()
@@ -84,7 +85,7 @@ fn jsonl_trace_survives_drop_without_explicit_flush() {
         let tracer = Tracer::new(JsonlSink::create(&path).expect("temp trace file"));
         let g = explorer
             .exploration()
-            .frontier(Frontier::WorkStealing)
+            .force_parallel()
             .threads(2)
             .trace(tracer.clone())
             .run()
@@ -137,7 +138,7 @@ fn concurrently_tailed_trace_yields_only_whole_jsonl_lines() {
         let explorer = Explorer::new(&p, &objects);
         explorer
             .exploration()
-            .frontier(Frontier::WorkStealing)
+            .force_parallel()
             .threads(2)
             .trace(writer_tracer)
             .progress_every(std::time::Duration::from_millis(1))

@@ -21,34 +21,49 @@
 //!
 //! ## Engine
 //!
-//! The search is **level-synchronous**: the frontier of one BFS depth is
-//! expanded as a batch, then merged into the graph, then the next frontier
-//! is formed. Expansion — the pure, expensive part: protocol steps, object
-//! outcome computation, successor construction — runs on a pool of worker
-//! threads ([`ExploreOptions::threads`]); the merge is a single sequential
-//! scan over the batch in frontier order, so node indices are assigned in
-//! exactly the order a sequential FIFO BFS would assign them. **Any thread
-//! count produces the identical graph** — same configurations, same
-//! indices, same edges — which keeps every downstream analysis (valency,
-//! adversary search, certification) and every recorded experiment output
-//! reproducible.
+//! There is one engine. Every run starts as a **sequential BFS** on the
+//! calling thread: each node of a level is expanded against the live
+//! dedup index and merged on the spot, so node indices are assigned in
+//! FIFO order. This is the reference every other execution must match.
+//!
+//! When more than one thread is allowed ([`ExploreOptions::threads`]), the
+//! run has already spent a fixed multiple of the helper pool's spawn/join
+//! cost, and its nodes cost enough each to repay the pool's per-node
+//! overhead, the engine **recruits** helpers at the next level boundary:
+//! the remaining frontier is handed to a work-stealing pool (per-worker
+//! Chase–Lev deques, DESIGN.md §12) that shares the run's index, interners
+//! and memos as they are. Small graphs finish before the gate opens and
+//! never pay for a thread; cheap, memory-bound raw graphs stay on the
+//! calling thread, where they run fastest.
+//!
+//! Work stealing assigns indices in discovery order, so a handed-off
+//! graph is **renumbered canonically** during assembly: one O(V+E) BFS
+//! from the hand-off frontier, following each node's edges in their stored
+//! `(pid, outcome)` order, gives every node the index the sequential BFS
+//! would have given it. **Any thread count produces the identical graph**
+//! — same configurations, same indices, same edges — and the stats that
+//! describe its shape (levels, peak frontier, dedup hits) come from that
+//! canonical pass. A hand-off that would truncate (the pool runs past
+//! `max_configs`) or fails is rerun on the sequential engine, so the budget
+//! keeps meaning "the first `max_configs` configurations in BFS order" and
+//! an error is always the one the sequential BFS meets first.
 //!
 //! Deduplication never compares full configurations: object states and
 //! process statuses are hash-consed into `u32` ids
 //! ([`crate::intern::Interner`]), and a configuration is keyed by its short
-//! id vector in a sharded index ([`crate::intern::ShardedIndex`]). Workers
-//! pre-probe the (frozen) index during expansion, so the sequential merge
-//! mostly copies precomputed targets.
+//! id vector in a sharded index ([`crate::intern::ConcurrentIndex`]).
 //!
 //! Every exploration reports [`ExploreStats`] — throughput, dedup rate,
-//! frontier shape, per-level timing — on the resulting graph.
+//! frontier shape, per-level timing, the recruitment point — on the
+//! resulting graph.
 
 use crate::config::Configuration;
-use crate::intern::{CompactConfig, ConcurrentIndex, Interner, ShardedIndex, SHARDS};
+use crate::intern::{CompactConfig, ConcurrentIndex, Interner, SHARDS};
 use crate::live::{EtaModel, LiveMetrics, ProgressWatcher};
 use crate::sampling::SampleConfig;
 use crate::stats::{
-    duration_ns, duration_us, ExploreStats, LatencyHistograms, LevelStats, PhaseTimes, WorkerStats,
+    duration_ns, duration_us, ExploreStats, LatencyHistograms, LevelStats, PhaseTimes, Recruit,
+    WorkerStats,
 };
 use crate::symmetry::ConfigSymmetry;
 use lbsa_core::spec::ObjectSpec;
@@ -95,27 +110,6 @@ impl Default for Limits {
     }
 }
 
-/// Which frontier discipline the engine runs.
-///
-/// The two modes build graphs over the **same** reachable set (the same
-/// configurations, transitions, and verdicts), but order and index the nodes
-/// differently — see [`Exploration::frontier`] for the contract.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Frontier {
-    /// Level-synchronous BFS with a sequential merge: the graph is
-    /// byte-identical for every thread count, at the cost of a barrier per
-    /// BFS depth. The default, and required for witness extraction and the
-    /// determinism test suite.
-    #[default]
-    Deterministic,
-    /// Work-stealing frontier: per-worker deques with steal-half semantics
-    /// and a concurrent dedup index, no inter-depth barrier. Node indices
-    /// depend on discovery order, so only *verdict equality* (same
-    /// configurations, transitions, and checker outcomes) is guaranteed —
-    /// the throughput mode for large instances.
-    WorkStealing,
-}
-
 /// How a `check_*` terminal of the [`Exploration`] builder quantifies over
 /// executions.
 ///
@@ -146,22 +140,21 @@ pub enum Strategy {
 pub struct ExploreOptions {
     /// Resource limits (see [`Limits`]).
     pub limits: Limits,
-    /// Worker threads for frontier expansion. `0` means auto: the
+    /// The most threads the run may use. `0` means auto: the
     /// `LBSA_EXPLORE_THREADS` environment variable if set, otherwise every
     /// core the machine offers (optionally capped by
-    /// `LBSA_EXPLORE_MAX_THREADS`). `1` forces the sequential path. In
-    /// [`Frontier::Deterministic`] mode the thread count never affects the
-    /// resulting graph, only how fast it is built.
+    /// `LBSA_EXPLORE_MAX_THREADS`). `1` keeps the run on the calling
+    /// thread. Above one, the engine recruits `threads - 1` work-stealing
+    /// helpers once the run's measured cost makes them worth their
+    /// spawn/join cost (see the module docs). The thread count never
+    /// affects the resulting graph, only how fast it is built.
     pub threads: usize,
-    /// Bypass the adaptive parallel gate: every level of a multi-threaded
-    /// run takes the parallel path regardless of its projected benefit.
-    /// For tests pinning parallel-path behaviour and for benchmarking the
-    /// parallel machinery itself; production runs should leave this off and
-    /// let the gate keep unprofitable levels sequential. Ignored by the
-    /// work-stealing frontier, which has no gate.
+    /// Recruit the helpers at the root instead of waiting for the cost
+    /// gate: a multi-threaded run then explores its whole graph on the
+    /// work-stealing pool. For tests pinning the hand-off and for
+    /// benchmarking the pool itself; production runs should leave this off.
+    /// Ignored when the run resolves to one thread.
     pub force_parallel: bool,
-    /// Frontier discipline (see [`Frontier`]).
-    pub frontier: Frontier,
 }
 
 impl ExploreOptions {
@@ -172,7 +165,6 @@ impl ExploreOptions {
             limits,
             threads: 0,
             force_parallel: false,
-            frontier: Frontier::Deterministic,
         }
     }
 
@@ -183,7 +175,7 @@ impl ExploreOptions {
         self
     }
 
-    /// Disables the adaptive parallel gate (see
+    /// Recruits helpers at the root (see
     /// [`ExploreOptions::force_parallel`]).
     #[must_use]
     pub fn with_force_parallel(mut self, force: bool) -> Self {
@@ -191,20 +183,12 @@ impl ExploreOptions {
         self
     }
 
-    /// Sets the frontier discipline (see [`Frontier`]).
-    #[must_use]
-    pub fn with_frontier(mut self, frontier: Frontier) -> Self {
-        self.frontier = frontier;
-        self
-    }
-
     /// The concrete thread count this run will use.
     ///
     /// `0` resolves to `LBSA_EXPLORE_THREADS` if set, otherwise all
-    /// available cores. The old hardcoded cap of 8 is gone — the adaptive
-    /// [`ParGate`] already keeps levels sequential when extra threads cannot
-    /// pay for themselves — but deployments that must bound the engine's
-    /// footprint can set `LBSA_EXPLORE_MAX_THREADS` to cap the auto count.
+    /// available cores, capped by `LBSA_EXPLORE_MAX_THREADS` when that is
+    /// set. No other cap applies: the cost gate already keeps runs that
+    /// cannot pay for helpers on the calling thread.
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
         if self.threads != 0 {
@@ -213,12 +197,20 @@ impl ExploreOptions {
         if let Some(n) = env_threads("LBSA_EXPLORE_THREADS") {
             return n;
         }
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let cores = available_cores();
         match env_threads("LBSA_EXPLORE_MAX_THREADS") {
             Some(cap) => cores.min(cap),
             None => cores,
         }
     }
+}
+
+/// The machine's core count, read once per process: the query costs
+/// system calls and cgroup file reads (tens of microseconds), a visible
+/// share of the small explorations the paper pipeline runs by the hundred.
+fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
 /// A positive thread count from an environment variable, if present and
@@ -236,89 +228,48 @@ impl Default for ExploreOptions {
     }
 }
 
-/// Bootstrap parallel threshold: before the engine has measured anything,
-/// levels narrower than this are expanded inline — spawning workers for a
-/// handful of nodes costs more than the expansion itself. Once per-node cost
-/// has been measured, the adaptive gate in [`ParGate`] takes over.
-const PAR_MIN_LEVEL: usize = 32;
+/// Estimated cost of spawning and joining one helper thread. Deliberately
+/// pessimistic: recruiting too late costs a little throughput, recruiting
+/// too early costs a regression on graphs that finish in milliseconds.
+const SPAWN_JOIN_COST: Duration = Duration::from_micros(50);
 
-/// Estimated cost of spawning and joining one scoped worker thread, in
-/// nanoseconds. The adaptive gate parallelizes a level only when the
-/// projected expansion time it saves exceeds this overhead for the whole
-/// pool. Deliberately pessimistic: mis-gating a level sequential costs a
-/// little throughput, mis-gating it parallel costs a regression.
-const SPAWN_COST_NS: f64 = 50_000.0;
+/// How many times the helper pool's spawn/join cost a run must already
+/// have spent on the calling thread before it recruits. The run's cost so
+/// far is the engine's only cheap predictor of the cost still to come: a
+/// graph that has not used this much by a level boundary is likely to
+/// finish sooner than the pool would pay for itself.
+const RECRUIT_MULTIPLE: u32 = 100;
 
-/// The adaptive decision of whether to expand a level on worker threads.
-///
-/// The old engine used the fixed [`PAR_MIN_LEVEL`] width cutoff, which
-/// parallelized wide-but-cheap levels (losing to spawn overhead — the
-/// `speedup_par_vs_seq < 1` regression in the committed benchmarks) and kept
-/// narrow-but-expensive levels sequential. The gate instead tracks an
-/// exponential moving average of measured per-node expansion cost and
-/// parallelizes exactly when the projected saving beats the spawn cost:
-///
-/// ```text
-/// width · ns_per_node · (1 − 1/p)  >  SPAWN_COST_NS · threads
-/// ```
-///
-/// where `p` is the effective parallelism — the requested thread count
-/// capped by the machine's available cores, because threads beyond cores
-/// save nothing. On a single-core machine `p = 1`, the projected saving is
-/// zero, and every level stays sequential: asking for `threads(8)` then
-/// costs nothing and `speedup_par_vs_seq` sits at 1.0 by construction.
-///
-/// Both paths build the identical graph, so gating on wall-clock timing is
-/// safe: the choice affects speed only, never results.
-struct ParGate {
-    threads: usize,
-    effective: usize,
-    force: bool,
-    ema_ns_per_node: Option<f64>,
+/// The least a node of *every* level so far must have cost for the pool
+/// to repay its per-node overhead: the pool's own bookkeeping plus
+/// assembly and canonical renumbering, about half a microsecond per node
+/// on raw graphs. Raw exploration is memory-bound at one to two
+/// microseconds per node (up to ~25 on its first levels, while the memos
+/// warm up), so a second core adds little to it (about 25% for two copies
+/// of the 236k-config k-set run on a 2-core Xeon host) and the pool loses;
+/// orbit canonicalization at hundreds of microseconds per node is
+/// compute-bound and nearly doubles.
+const POOL_NODE_COST: Duration = Duration::from_micros(50);
+
+/// The run time after which a run allowed `threads` threads may recruit
+/// its `threads - 1` helpers.
+fn recruit_threshold(threads: usize) -> Duration {
+    let helpers = u32::try_from(threads.saturating_sub(1)).unwrap_or(u32::MAX);
+    SPAWN_JOIN_COST.saturating_mul(RECRUIT_MULTIPLE.saturating_mul(helpers))
 }
 
-impl ParGate {
-    fn new(threads: usize, force: bool) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        ParGate {
-            threads,
-            effective: threads.min(cores).max(1),
-            force,
-            ema_ns_per_node: None,
-        }
-    }
-
-    /// Should a level of `width` nodes run on the parallel path?
-    fn go_parallel(&self, width: usize) -> bool {
-        if self.threads <= 1 {
-            return false;
-        }
-        if self.force {
-            return true;
-        }
-        match self.ema_ns_per_node {
-            // No measurement yet: fall back to the static width cutoff.
-            None => width >= PAR_MIN_LEVEL && self.effective > 1,
-            Some(ema) => {
-                let saved = width as f64 * ema * (1.0 - 1.0 / self.effective as f64);
-                saved > SPAWN_COST_NS * self.threads as f64
-            }
-        }
-    }
-
-    /// Feeds back one level's measured cost. Sequential levels measure true
-    /// per-node cost directly; parallel levels measure it scaled by the
-    /// parallelism actually achieved, which keeps the estimate conservative.
-    fn observe(&mut self, width: usize, elapsed: std::time::Duration) {
-        if width == 0 {
-            return;
-        }
-        let ns = elapsed.as_nanos() as f64 / width as f64;
-        self.ema_ns_per_node = Some(match self.ema_ns_per_node {
-            None => ns,
-            Some(ema) => 0.7 * ema + 0.3 * ns,
-        });
-    }
+/// The recruitment gate, checked at each level boundary: the run has
+/// already cost enough to pay for spawning the pool (`elapsed` past
+/// `threshold`), and each of its (at least two) completed levels cost
+/// enough per node to pay for the pool's per-node overhead. Judging every
+/// level rather than the average keeps one stalled level — a page-fault
+/// storm, the allocator consolidating a large freed graph, a preempted
+/// thread — from passing for expensive nodes.
+fn gate_open(elapsed: Duration, levels: &[LevelStats], threshold: Duration) -> bool {
+    let costly = |l: &LevelStats| {
+        u32::try_from(l.width).is_ok_and(|w| l.elapsed >= POOL_NODE_COST.saturating_mul(w))
+    };
+    levels.len() >= 2 && elapsed >= threshold && levels.iter().all(costly)
 }
 
 /// One labelled edge of the execution graph.
@@ -561,40 +512,6 @@ impl<L> ExplorationGraph<L> {
     }
 }
 
-/// One successor discovered by an expansion worker, in deterministic
-/// `(enabled-pid, outcome)` order within its source node.
-struct SuccRecord<L> {
-    pid: Pid,
-    outcome: usize,
-    /// The successor's compact key, kept only when `known` is `None` —
-    /// known-duplicate successors never allocate one.
-    key: Option<CompactConfig>,
-    /// The node index, when the worker's pre-probe found the configuration
-    /// already in the index. The index is append-only, so a hit is final.
-    known: Option<u32>,
-    /// The materialized configuration, kept only when `known` is `None`.
-    config: Option<SuccConfig<L>>,
-}
-
-/// How a successor record carries its configuration: owned when the worker
-/// materialized it afresh, shared when it came out of the canon memo (whose
-/// entries stay alive for future hits — cloning them eagerly on every hit
-/// would defeat the memo).
-enum SuccConfig<L> {
-    Owned(Configuration<L>),
-    Shared(Arc<Configuration<L>>),
-}
-
-impl<L: Clone> SuccConfig<L> {
-    /// Extracts the configuration, cloning only if the memo still shares it.
-    fn into_config(self) -> Configuration<L> {
-        match self {
-            SuccConfig::Owned(c) => c,
-            SuccConfig::Shared(arc) => Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()),
-        }
-    }
-}
-
 /// Canonicalization memo for symmetry-reduced exploration: maps a raw
 /// successor's **delta-patched compact key** (the parent's canonical key
 /// with the stepped object-state and process-status slots replaced) to the
@@ -606,21 +523,15 @@ impl<L: Clone> SuccConfig<L> {
 /// thousands of parents; on a hit the engine skips materializing the raw
 /// successor *and* the whole orbit computation. Entries hold both the
 /// canonical compact key (for dedup probing) and the canonical
-/// configuration (for the rare hit that still discovers a new node — the
-/// first key occurrence by wall clock need not be the first in merge
-/// order).
+/// configuration (for the hit that still discovers a new node).
 ///
-/// Sharded and lock-guarded like [`TransitionMemo`], shared by parallel
-/// expansion workers of both frontier modes; the fused sequential path owns
-/// a plain-map analogue.
+/// Sharded and lock-guarded like [`TransitionMemo`]: the sequential BFS
+/// reaches it through the lock-free `&mut` accessors, work-stealing helpers
+/// share it by reference.
 type CanonShard<L> = lbsa_support::hash::FxHashMap<CompactConfig, CanonEntry<L>>;
 
 /// One canon-memo entry: the canonical compact key and its configuration.
 type CanonEntry<L> = (CompactConfig, Arc<Configuration<L>>);
-
-/// The symmetry context a reduced expansion threads through: the group
-/// (for canonicalizing misses) and the shared canonicalization memo.
-type SymCtx<'a, 'p, L> = (&'a ConfigSymmetry<'p, L>, &'a CanonMemo<L>);
 
 struct CanonMemo<L> {
     shards: Vec<RwLock<CanonShard<L>>>,
@@ -648,12 +559,8 @@ impl<L> CanonMemo<L> {
         usize::try_from(self.bytes.get()).unwrap_or(usize::MAX)
     }
 
-    fn get(&self, raw_key: &[u32]) -> Option<CanonEntry<L>> {
-        let found = self.shards[ShardedIndex::shard_of(raw_key)]
-            .read()
-            .expect("canon memo lock poisoned")
-            .get(raw_key)
-            .cloned();
+    /// Counts one lookup and passes its result through.
+    fn count(&self, found: Option<CanonEntry<L>>) -> Option<CanonEntry<L>> {
         match found {
             Some(_) => self.hits.bump(),
             None => self.misses.bump(),
@@ -661,49 +568,63 @@ impl<L> CanonMemo<L> {
         found
     }
 
-    fn insert(&self, raw_key: CompactConfig, entry: CanonEntry<L>) {
-        // 16 per Arc header, 24 assumed map-slot overhead; matches the
-        // estimate discipline of `Interner::approx_bytes`.
+    fn get(&self, raw_key: &[u32]) -> Option<CanonEntry<L>> {
+        let found = self.shards[ConcurrentIndex::shard_of(raw_key)]
+            .read()
+            .expect("canon memo lock poisoned")
+            .get(raw_key)
+            .cloned();
+        self.count(found)
+    }
+
+    /// [`CanonMemo::get`] for exclusive access (no lock).
+    fn get_mut(&mut self, raw_key: &[u32]) -> Option<CanonEntry<L>> {
+        let found = self.shards[ConcurrentIndex::shard_of(raw_key)]
+            .get_mut()
+            .expect("canon memo lock poisoned")
+            .get(raw_key)
+            .cloned();
+        self.count(found)
+    }
+
+    /// Accounts one entry's bytes; 16 per Arc header, 24 assumed map-slot
+    /// overhead, matching the estimate discipline of
+    /// `Interner::approx_bytes`.
+    fn account(&self, raw_key: &CompactConfig, entry: &CanonEntry<L>) {
         let bytes = 2 * 16
             + 24
             + (raw_key.len() + entry.0.len()) * std::mem::size_of::<u32>()
             + std::mem::size_of::<(CompactConfig, CanonEntry<L>)>()
             + std::mem::size_of::<Configuration<L>>();
         self.bytes.add(bytes as u64);
-        self.shards[ShardedIndex::shard_of(&raw_key)]
+    }
+
+    fn insert(&self, raw_key: CompactConfig, entry: CanonEntry<L>) {
+        self.account(&raw_key, &entry);
+        self.shards[ConcurrentIndex::shard_of(&raw_key)]
             .write()
+            .expect("canon memo lock poisoned")
+            .insert(raw_key, entry);
+    }
+
+    /// [`CanonMemo::insert`] for exclusive access (no lock).
+    fn insert_mut(&mut self, raw_key: CompactConfig, entry: CanonEntry<L>) {
+        self.account(&raw_key, &entry);
+        self.shards[ConcurrentIndex::shard_of(&raw_key)]
+            .get_mut()
             .expect("canon memo lock poisoned")
             .insert(raw_key, entry);
     }
 }
 
-/// How a [`WsTask`] carries its configuration. Raw mode owns it outright:
-/// the configuration rides the deque by value and the worker that expands
-/// the task moves it into the assembly set — no extra allocation, no
-/// refcounts. Under symmetry reduction the canonical representative is
-/// shared with the canon memo, so tasks hold an `Arc` and assembly unwraps
-/// it after the memo drops.
-enum WsConfig<L> {
-    Owned(Configuration<L>),
-    Shared(Arc<Configuration<L>>),
-}
-
-impl<L> WsConfig<L> {
-    fn get(&self) -> &Configuration<L> {
-        match self {
-            WsConfig::Owned(c) => c,
-            WsConfig::Shared(a) => a,
-        }
-    }
-}
-
-/// One pending node of the work-stealing frontier: its assigned index, its
-/// compact dedup key (the delta-interning base for its successors), and its
-/// configuration (see [`WsConfig`]).
+/// One pending node of the work-stealing pool: its assigned index, its
+/// compact dedup key (the delta-interning base for its successors), and
+/// its configuration, which rides the deque by value — the worker that
+/// expands the task moves it into the assembly set.
 struct WsTask<L> {
     id: u32,
     key: CompactConfig,
-    config: WsConfig<L>,
+    config: Configuration<L>,
 }
 
 /// Backoff thresholds of the work-stealing idle loop, in consecutive
@@ -750,8 +671,7 @@ enum WsFixup<L> {
 
 /// What one work-stealing worker hands back at join: the sub-graph it
 /// built and its scheduling counters. Node indices come from the shared
-/// [`ConcurrentIndex`], so the per-worker pieces assemble by plain index
-/// assignment.
+/// [`ConcurrentIndex`], so the per-worker pieces assemble by index.
 struct WsWorkerOut<L> {
     /// Flat pool of every edge this worker emitted, in expansion order —
     /// one growing allocation instead of a `Vec` per task.
@@ -759,16 +679,10 @@ struct WsWorkerOut<L> {
     /// `(node, start, len)` slices of [`WsWorkerOut::edge_pool`] for every
     /// node this worker expanded.
     tasks: Vec<(u32, u32, u32)>,
-    /// `(node, configuration)` for every *shared* (symmetry-reduction) node
-    /// this worker discovered, recorded at discovery time — the canon memo
-    /// co-owns these, so unexpanded nodes of truncated runs are covered.
-    discovered: Vec<(u32, Arc<Configuration<L>>)>,
-    /// `(node, configuration)` for every *owned* (raw-mode) node this
-    /// worker expanded or discarded over budget — ownership rides the task,
-    /// so the record is made where the task ends, not where it was spawned.
-    discovered_owned: Vec<(u32, Configuration<L>)>,
+    /// `(node, configuration)` for every node this worker expanded —
+    /// ownership rides the task, so the record is made where it ends.
+    configs: Vec<(u32, Configuration<L>)>,
     transitions: usize,
-    dedup_hits: usize,
     steals: u64,
     steal_fails: u64,
     local_hits: u64,
@@ -806,10 +720,8 @@ impl<L> Default for WsWorkerOut<L> {
         WsWorkerOut {
             edge_pool: Vec::new(),
             tasks: Vec::new(),
-            discovered: Vec::new(),
-            discovered_owned: Vec::new(),
+            configs: Vec::new(),
             transitions: 0,
-            dedup_hits: 0,
             steals: 0,
             steal_fails: 0,
             local_hits: 0,
@@ -826,104 +738,6 @@ impl<L> Default for WsWorkerOut<L> {
         }
     }
 }
-
-type NodeResult<L> = Result<Vec<SuccRecord<L>>, RuntimeError>;
-
-/// Phase-A classification of one not-pre-probed successor record, produced
-/// by [`classify_level`] and consumed by the sequential stitch.
-#[derive(Clone, Copy, Debug)]
-enum MergeClass {
-    /// The key was already in the (frozen) index: a cross-level duplicate.
-    Known(u32),
-    /// The key first appeared earlier in this level, at the given ordinal —
-    /// a level-local duplicate of whatever node that ordinal resolves to.
-    Dup(usize),
-    /// First global occurrence: the stitch assigns it a fresh node index.
-    New,
-}
-
-/// Phase A of the two-phase merge: classify every successor record whose
-/// pre-probe missed (`known == None`) as [`MergeClass::Known`],
-/// [`MergeClass::Dup`], or [`MergeClass::New`], returning one
-/// ordinal-ascending vector per index shard.
-///
-/// Records are numbered by a single *ordinal* sequence — their encounter
-/// order scanning the level in frontier order — and each record belongs to
-/// exactly one shard (a pure function of its key), so the per-shard work is
-/// disjoint and runs on worker threads with no locking: every worker scans
-/// the shared record list in the same global order but only touches its own
-/// shards. Duplicate detection is exact because equal keys always hash to
-/// the same shard, so one shard's scan sees every occurrence in ordinal
-/// order and can name the first.
-///
-/// Nodes whose expansion failed are skipped entirely; the stitch stops at
-/// the first error anyway, and skipping keeps the ordinal sequences of both
-/// phases aligned up to that point.
-fn classify_level<L: Send + Sync>(
-    results: &[NodeResult<L>],
-    index: &ShardedIndex,
-    threads: usize,
-) -> Vec<Vec<(usize, MergeClass)>> {
-    let workers = threads.clamp(1, SHARDS);
-    let mut per_worker: Vec<Vec<Vec<(usize, MergeClass)>>> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut out: Vec<Vec<(usize, MergeClass)>> = vec![Vec::new(); SHARDS];
-                    let mut seen: Vec<lbsa_support::hash::FxHashMap<CompactConfig, usize>> =
-                        vec![Default::default(); SHARDS];
-                    let mut ordinal = 0usize;
-                    for result in results {
-                        let Ok(records) = result else { continue };
-                        for rec in records {
-                            if rec.known.is_some() {
-                                continue;
-                            }
-                            let key = rec.key.as_ref().expect("unknown successors carry keys");
-                            let shard = ShardedIndex::shard_of(key);
-                            if shard % workers == w {
-                                let class = if let Some(t) = index.probe(key) {
-                                    MergeClass::Known(t)
-                                } else {
-                                    match seen[shard].entry(key.clone()) {
-                                        std::collections::hash_map::Entry::Occupied(e) => {
-                                            MergeClass::Dup(*e.get())
-                                        }
-                                        std::collections::hash_map::Entry::Vacant(v) => {
-                                            v.insert(ordinal);
-                                            MergeClass::New
-                                        }
-                                    }
-                                };
-                                out[shard].push((ordinal, class));
-                            }
-                            ordinal += 1;
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            per_worker.push(handle.join().expect("classification worker panicked"));
-        }
-    });
-    // Collapse: each shard was filled by exactly one worker.
-    let mut merged: Vec<Vec<(usize, MergeClass)>> = vec![Vec::new(); SHARDS];
-    for (w, worker_out) in per_worker.into_iter().enumerate() {
-        for (shard, classes) in worker_out.into_iter().enumerate() {
-            if shard % workers == w {
-                merged[shard] = classes;
-            }
-        }
-    }
-    merged
-}
-
-/// One frontier entry handed to expansion workers: node index, a borrow of
-/// its configuration, and its compact key (the delta-interning base).
-type WorkItem<'w, L> = (u32, &'w Configuration<L>, &'w CompactConfig);
 
 /// Canonicalizes through the optional probe timer: traced runs clock the
 /// call into the canonicalization-phase accumulator, untraced runs pay
@@ -970,11 +784,14 @@ struct CanonProbe {
 /// `(object-state, proc-status)` id pairs of the successors, in outcome
 /// order, so recurring combinations (retry loops revisit the same local
 /// state against the same object state from thousands of configurations)
-/// skip the specification and protocol code entirely.
+/// skip the specification and protocol code entirely. One store serves the
+/// whole run: the sequential BFS uses the lock-free `&mut` shard access,
+/// work-stealing helpers the shared one.
 type MemoShard = lbsa_support::hash::FxHashMap<(u32, u32, u32), Arc<Pairs>>;
 
 struct TransitionMemo {
     shards: Vec<RwLock<MemoShard>>,
+    /// Shared-path lookups only; the sequential BFS counts its own.
     hits: Counter,
     misses: Counter,
 }
@@ -992,6 +809,13 @@ impl TransitionMemo {
 
     fn shard_of(key: (u32, u32, u32)) -> usize {
         (lbsa_support::hash::fx_hash(&key) as usize) & 15
+    }
+
+    /// The shard holding `key`, for exclusive (lock-free) access.
+    fn shard_mut(&mut self, key: (u32, u32, u32)) -> &mut MemoShard {
+        self.shards[Self::shard_of(key)]
+            .get_mut()
+            .expect("memo lock poisoned")
     }
 
     fn get(&self, key: (u32, u32, u32)) -> Option<Arc<Pairs>> {
@@ -1037,9 +861,9 @@ impl Pairs {
 }
 
 /// How a step hands freshly computed values to an [`Interner`]. The two
-/// implementations let one `compute_pairs` body serve both execution paths:
-/// `&Interner` goes through the shard locks (parallel workers), `&mut
-/// Interner` proves exclusivity and skips them (fused sequential path).
+/// implementations let one `compute_pairs` body serve both execution modes:
+/// `&Interner` goes through the shard locks (work-stealing helpers), `&mut
+/// Interner` proves exclusivity and skips them (sequential BFS).
 trait InternSink<T> {
     fn put(&mut self, value: &T) -> u32;
 }
@@ -1053,6 +877,113 @@ impl<T: Eq + std::hash::Hash + Clone> InternSink<T> for &Interner<T> {
 impl<T: Eq + std::hash::Hash + Clone> InternSink<T> for &mut Interner<T> {
     fn put(&mut self, value: &T) -> u32 {
         self.intern_mut(value)
+    }
+}
+
+/// The state of one exhaustive run: what the sequential BFS builds level
+/// by level, and what a work-stealing hand-off takes over as it stands.
+struct Run<L> {
+    state_interner: Interner<AnyState>,
+    proc_interner: Interner<ProcStatus<L>>,
+    index: ConcurrentIndex,
+    memo: TransitionMemo,
+    canon_memo: CanonMemo<L>,
+    /// Every discovered configuration, by node index.
+    configs: Vec<Configuration<L>>,
+    /// Outgoing edges of the expanded nodes `0..edges.len()`. BFS expands
+    /// in index order, so the expanded set is always a prefix.
+    edges: Vec<Vec<Edge>>,
+    /// Compact keys of the next level — the nodes
+    /// `edges.len()..configs.len()`, in index order — back to back in one
+    /// buffer, `scratch.len()` ids each.
+    frontier: Vec<u32>,
+    transitions: usize,
+    dedup_hits: usize,
+    peak_frontier: usize,
+    levels: Vec<LevelStats>,
+    /// Time spent expanding: sequential levels plus the pool's run.
+    expand: Duration,
+    /// Sequential-path transition-memo lookups (the shared path counts in
+    /// the memo itself).
+    memo_hits: u64,
+    memo_misses: u64,
+    /// Per-node scratch of the sequential path: the delta-patched key and
+    /// the node's edges, reused for every node.
+    scratch: Vec<u32>,
+    out: Vec<Edge>,
+}
+
+/// What a work-stealing hand-off adds to a run's stats.
+#[derive(Default)]
+struct WsReport {
+    recruit: Recruit,
+    workers: Vec<WorkerStats>,
+    steals: u64,
+    steal_fails: u64,
+    local_hits: u64,
+    park_count: u64,
+    deque_grows: u64,
+    index_batch_hits: u64,
+    memo_l1_hits: u64,
+    /// Assembly and canonical renumbering.
+    merge: Duration,
+}
+
+/// How a sequential BFS ended.
+enum Finished<L> {
+    /// The graph is built; `ws` describes the pool if one was recruited.
+    Built {
+        run: Box<Run<L>>,
+        complete: bool,
+        ws: Option<WsReport>,
+    },
+    /// The hand-off at `Recruit` truncated or failed: the run must be
+    /// redone sequentially from `root` (the graph's root, already
+    /// canonical under symmetry reduction, where canonicalizing again
+    /// changes nothing).
+    Rerun {
+        recruit: Recruit,
+        root: Configuration<L>,
+    },
+}
+
+/// Everything about one exhaustive run that stays fixed while it runs.
+struct RunCtx<'r, 'p, L> {
+    limits: Limits,
+    threads: usize,
+    force: bool,
+    /// Run time after which helpers are recruited.
+    recruit_after: Duration,
+    sym: Option<&'r ConfigSymmetry<'p, L>>,
+    tracer: &'r Tracer,
+    live: Option<&'r LiveMetrics>,
+    canon_probe: Option<&'r CanonProbe>,
+    hists: &'r LatencyHistograms,
+    started: Instant,
+}
+
+/// Emits one finished level's `level` trace event and feeds it to the
+/// progress callback. `pooled` marks levels the work-stealing pool
+/// expanded: their shape comes from the canonical renumbering pass, and
+/// they carry no clock of their own.
+fn report_level(
+    tracer: &Tracer,
+    on_progress: &mut Option<ProgressCallback<'_>>,
+    level: &LevelStats,
+    new: usize,
+    pooled: bool,
+) {
+    tracer.emit_with("level", || {
+        Json::object()
+            .set("level", level.level)
+            .set("width", level.width)
+            .set("transitions", level.transitions)
+            .set("dedup", level.transitions - new)
+            .set("elapsed_us", duration_us(level.elapsed))
+            .set("pooled", pooled)
+    });
+    if let Some(cb) = on_progress.as_mut() {
+        cb(level);
     }
 }
 
@@ -1247,12 +1178,11 @@ impl<'a, P: Protocol> Explorer<'a, P> {
 
     /// The engine: builds the execution graph reachable from `initial`.
     ///
-    /// The graph is identical for every thread count: workers only compute
-    /// successors; node indices are assigned by a sequential merge that
-    /// scans each level in frontier order, which reproduces the FIFO order
-    /// of a sequential BFS exactly. When several nodes of one level fail,
-    /// the error of the earliest node in frontier order is returned — the
-    /// same error a sequential exploration reports.
+    /// Starts on the sequential BFS, may recruit work-stealing helpers at a
+    /// level boundary (see the module docs), and reruns sequentially when a
+    /// hand-off truncates or fails. The graph is identical for every thread
+    /// count; so is the error a failing run reports — the one the
+    /// sequential BFS meets first.
     fn run_engine(
         &self,
         initial: Configuration<P::LocalState>,
@@ -1265,431 +1195,91 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let started = Instant::now();
         let threads = options.resolved_threads();
         let limits = options.limits;
-        let mut gate = ParGate::new(threads, options.force_parallel);
         if let Some(live) = live {
-            live.workers.set_usize(threads);
+            live.workers.set_usize(1);
         }
+        let recruit_after = recruit_threshold(threads);
         tracer.emit_with("explore.begin", || {
             Json::object()
                 .set("threads", threads)
                 .set("max_configs", limits.max_configs)
                 .set("force_parallel", options.force_parallel)
                 .set("reduced", sym.is_some())
-                .set("frontier", "level-sync")
+                .set("recruit_after_us", duration_us(recruit_after))
         });
         // Per-call canonicalization timing means a clock read per successor,
         // so by the overhead policy it runs only under an attached tracer;
         // untraced runs report PhaseTimes::canonicalize == 0.
         let canon_store = CanonProbe::default();
-        let canon_probe = tracer.enabled().then_some(&canon_store);
         let canon_calls_before = sym.map_or(0, ConfigSymmetry::canon_calls);
         let canon_fast_before = sym.map_or(0, ConfigSymmetry::canon_fast_hits);
         let canon_full_before = sym.map_or(0, ConfigSymmetry::canon_full_calls);
         // Per-level latency distributions: the level clocks are read anyway,
         // so these are always on.
         let hists = LatencyHistograms::default();
-
-        // Under symmetry reduction every graph node is the canonical
-        // representative of its orbit, starting with the root.
-        let initial = match sym {
-            Some(s) => s.canonicalize(&initial),
-            None => initial,
+        let ctx = RunCtx {
+            limits,
+            threads,
+            force: options.force_parallel,
+            recruit_after,
+            sym,
+            tracer,
+            live,
+            canon_probe: tracer.enabled().then_some(&canon_store),
+            hists: &hists,
+            started,
         };
-        let mut state_interner: Interner<AnyState> = Interner::new();
-        let mut proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
-        let mut index = ShardedIndex::new();
-        let n_obj = initial.object_states.len();
-        let n_procs = initial.procs.len();
-        let mut scratch = vec![0u32; n_obj + n_procs];
-        let mut out_scratch: Vec<Edge> = Vec::new();
-        let initial_key = self.compact(&initial, &state_interner, &proc_interner);
-        index.insert(initial_key.clone(), 0);
-
-        let mut configs = vec![initial];
-        let mut edges: Vec<Vec<Edge>> = vec![vec![]];
-        let mut expanded = vec![false];
-        let mut transitions = 0usize;
-        let mut complete = true;
-        let mut frontier: Vec<(u32, CompactConfig)> = vec![(0, initial_key)];
-
-        let mut expanded_count = 0usize;
-        let mut dedup_hits = 0usize;
-        // Cumulative dedup already mirrored into the live registry, so the
-        // per-level live update adds exactly the level's delta.
-        let mut live_dedup_reported = 0usize;
-        let mut peak_frontier = 0usize;
-        let mut parallel_levels = 0usize;
-        let mut levels: Vec<LevelStats> = Vec::new();
-        let mut total_expand = Duration::ZERO;
-        let mut total_merge = Duration::ZERO;
-        let mut seq_memo_hits = 0u64;
-        let mut seq_memo_misses = 0u64;
-        // Transition memo, one store per execution path: the fused
-        // single-threaded path owns a plain map (entry API, no locks, no
-        // `Arc` traffic); parallel levels share the sharded, lock-guarded
-        // one. Both memoize the same pure function, so a run that switches
-        // paths between levels at worst recomputes a step per store.
-        let memo = TransitionMemo::new();
-        let mut seq_memo: lbsa_support::hash::FxHashMap<(u32, u32, u32), Pairs> =
-            lbsa_support::hash::FxHashMap::with_capacity_and_hasher(256, Default::default());
-        // Canonicalization memo, same one-store-per-path split (see
-        // `CanonMemo`): raw delta-patched successor key → canonical form.
-        let canon_memo: CanonMemo<P::LocalState> = CanonMemo::new();
-        let mut seq_canon_memo: CanonShard<P::LocalState> = Default::default();
-        let mut seq_canon_hits = 0u64;
-
-        while !frontier.is_empty() {
-            peak_frontier = peak_frontier.max(frontier.len());
-            // The budget counts *expanded* configurations: truncate the
-            // level to whatever budget remains, in one pass.
-            let budget = limits.max_configs.saturating_sub(expanded_count);
-            let take = frontier.len().min(budget);
-            if take < frontier.len() {
-                complete = false;
-            }
-            if take == 0 {
-                break;
-            }
-            let level = levels.len();
-            let level_started = Instant::now();
-            let mut next_frontier: Vec<(u32, CompactConfig)> = Vec::new();
-            let mut level_transitions = 0usize;
-            let parallel_level = gate.go_parallel(take);
-            tracer.emit_with("pargate", || {
-                Json::object()
-                    .set("level", level)
-                    .set("width", take)
-                    .set("parallel", parallel_level)
-                    .set(
-                        "ema_ns_per_node",
-                        gate.ema_ns_per_node.map_or(Json::Null, Json::from),
-                    )
-                    .set("threads", gate.threads)
-                    .set("effective", gate.effective)
-                    .set("forced", gate.force)
-            });
-            // Phase accounting: the fused sequential path interleaves
-            // expansion and merge, so its whole level counts as expansion;
-            // the parallel path marks the expand/merge boundary explicitly.
-            let mut expand_elapsed = Duration::ZERO;
-            let mut merge_elapsed = Duration::ZERO;
-
-            if !parallel_level {
-                // Fused expand-and-merge: with no worker hand-off there is
-                // nothing to gain from materializing successor records —
-                // each node expands against the live index and merges on the
-                // spot. Probing the live index yields exactly the index
-                // assignments the two-phase merge computes, in the same
-                // frontier order, so this path and the parallel one build
-                // identical graphs.
-                for (node_id, parent_key) in &frontier[..take] {
-                    let node = *node_id as usize;
-                    out_scratch.clear();
-                    for i in 0..n_procs {
-                        let (obj, pairs) = {
-                            let ProcStatus::Running(local) = &configs[node].procs[i] else {
-                                continue;
-                            };
-                            let pid = Pid(i);
-                            let (obj, op) = self.protocol.pending_op(pid, local);
-                            let memo_key =
-                                (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
-                            let pairs = match seq_memo.entry(memo_key) {
-                                std::collections::hash_map::Entry::Occupied(e) => {
-                                    seq_memo_hits += 1;
-                                    &*e.into_mut()
-                                }
-                                std::collections::hash_map::Entry::Vacant(v) => {
-                                    seq_memo_misses += 1;
-                                    &*v.insert(self.compute_pairs(
-                                        &configs[node],
-                                        pid,
-                                        local,
-                                        obj,
-                                        &op,
-                                        &mut state_interner,
-                                        &mut proc_interner,
-                                    )?)
-                                }
-                            };
-                            (obj, pairs)
-                        };
-                        for (outcome, &(succ_state, succ_proc)) in
-                            pairs.as_slice().iter().enumerate()
-                        {
-                            level_transitions += 1;
-                            if let Some(symmetry) = sym {
-                                // Orbit mode: the dedup key is the compacted
-                                // *canonical representative*. The raw
-                                // delta-patched key below is not that key,
-                                // but it *identifies* the raw successor, so
-                                // it memoizes the canonicalization: on a hit
-                                // neither the raw successor nor any permuted
-                                // copy is materialized.
-                                scratch.copy_from_slice(parent_key);
-                                scratch[obj.index()] = succ_state;
-                                scratch[n_obj + i] = succ_proc;
-                                let (key, shared) = match seq_canon_memo
-                                    .get(scratch.as_slice())
-                                    .cloned()
-                                {
-                                    Some((ck, arc)) => {
-                                        seq_canon_hits += 1;
-                                        (ck, arc)
-                                    }
-                                    None => {
-                                        let canon = {
-                                            let parent = &configs[node];
-                                            let mut raw = parent.clone();
-                                            raw.object_states[obj.index()] =
-                                                state_interner.resolve_mut(succ_state).clone();
-                                            raw.procs[i] =
-                                                proc_interner.resolve_mut(succ_proc).clone();
-                                            timed_canonicalize(symmetry, &raw, canon_probe)
-                                        };
-                                        let key =
-                                            self.compact(&canon, &state_interner, &proc_interner);
-                                        let arc = Arc::new(canon);
-                                        seq_canon_memo.insert(
-                                            scratch.as_slice().into(),
-                                            (key.clone(), Arc::clone(&arc)),
-                                        );
-                                        (key, arc)
-                                    }
-                                };
-                                let target = if let Some(t) = index.probe(&key) {
-                                    dedup_hits += 1;
-                                    t
-                                } else {
-                                    let t = u32::try_from(configs.len())
-                                        .expect("graphs are bounded well below u32::MAX nodes");
-                                    next_frontier.push((t, key.clone()));
-                                    index.insert(key, t);
-                                    configs.push(
-                                        Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone()),
-                                    );
-                                    edges.push(vec![]);
-                                    expanded.push(false);
-                                    t
-                                };
-                                out_scratch.push(Edge {
-                                    pid: Pid(i),
-                                    outcome,
-                                    target: target as usize,
-                                });
-                                continue;
-                            }
-                            scratch.copy_from_slice(parent_key);
-                            scratch[obj.index()] = succ_state;
-                            scratch[n_obj + i] = succ_proc;
-                            let target = if let Some(t) = index.probe(&scratch) {
-                                dedup_hits += 1;
-                                t
-                            } else {
-                                let t = u32::try_from(configs.len())
-                                    .expect("graphs are bounded well below u32::MAX nodes");
-                                let key: CompactConfig = scratch.as_slice().into();
-                                // Build the successor from parts rather than
-                                // clone-then-overwrite: the two patched slots
-                                // come from the interner, the rest from the
-                                // parent.
-                                let mut new_state =
-                                    Some(state_interner.resolve_mut(succ_state).clone());
-                                let mut new_proc =
-                                    Some(proc_interner.resolve_mut(succ_proc).clone());
-                                let next = {
-                                    let parent = &configs[node];
-                                    Configuration {
-                                        object_states: parent
-                                            .object_states
-                                            .iter()
-                                            .enumerate()
-                                            .map(|(j, s)| {
-                                                if j == obj.index() {
-                                                    new_state.take().expect("one patched slot")
-                                                } else {
-                                                    s.clone()
-                                                }
-                                            })
-                                            .collect(),
-                                        procs: parent
-                                            .procs
-                                            .iter()
-                                            .enumerate()
-                                            .map(|(j, p)| {
-                                                if j == i {
-                                                    new_proc.take().expect("one patched slot")
-                                                } else {
-                                                    p.clone()
-                                                }
-                                            })
-                                            .collect(),
-                                    }
-                                };
-                                next_frontier.push((t, key.clone()));
-                                index.insert(key, t);
-                                configs.push(next);
-                                edges.push(vec![]);
-                                expanded.push(false);
-                                t
-                            };
-                            out_scratch.push(Edge {
-                                pid: Pid(i),
-                                outcome,
-                                target: target as usize,
-                            });
+        let (run, complete, ws, recruit) =
+            match self.bfs(initial, &ctx, threads > 1, &mut on_progress, 0)? {
+                Finished::Built { run, complete, ws } => {
+                    let recruit = ws.as_ref().map(|w| w.recruit);
+                    (run, complete, ws, recruit)
+                }
+                Finished::Rerun { recruit, root } => {
+                    // Live counters already hold the abandoned attempt; the
+                    // rerun's levels before the recruit point were reported
+                    // once and stay quiet.
+                    if let Some(live) = live {
+                        live.workers.set_usize(1);
+                    }
+                    match self.bfs(root, &ctx, false, &mut on_progress, recruit.level)? {
+                        Finished::Built { run, complete, .. } => (
+                            run,
+                            complete,
+                            None,
+                            Some(Recruit {
+                                rerun: true,
+                                ..recruit
+                            }),
+                        ),
+                        Finished::Rerun { .. } => {
+                            unreachable!("a sequential rerun never recruits")
                         }
                     }
-                    // Exact-size allocation; the scratch keeps its capacity
-                    // for the next node.
-                    edges[node] = out_scratch.clone();
-                    expanded[node] = true;
                 }
-            } else {
-                // Expansion borrows the graph's configurations immutably;
-                // the borrow ends before the merge mutates them.
-                let results: Vec<NodeResult<P::LocalState>> = {
-                    let work: Vec<WorkItem<'_, P::LocalState>> = frontier[..take]
-                        .iter()
-                        .map(|(i, key)| (*i, &configs[*i as usize], key))
-                        .collect();
-                    self.expand_level_parallel(
-                        &work,
-                        threads,
-                        &state_interner,
-                        &proc_interner,
-                        &memo,
-                        &index,
-                        sym.map(|s| (s, &canon_memo)),
-                        canon_probe,
-                    )
-                };
-                expand_elapsed = level_started.elapsed();
+            };
 
-                // Two-phase deterministic merge. Phase A classifies every
-                // not-pre-probed successor against the frozen index and its
-                // level-local siblings, per shard on worker threads — all the
-                // hashing of the merge happens here, in parallel, because
-                // equal keys always land in the same shard. Phase B is a
-                // sequential stitch in frontier order that only *assigns*:
-                // node indices are handed out in first-encounter order,
-                // exactly the order a sequential FIFO BFS assigns them, so
-                // the graph is identical to the sequential path's.
-                let classes = classify_level(&results, &index, threads);
-                let mut cursors = [0usize; SHARDS];
-                let mut targets: Vec<u32> = Vec::new();
-                for ((node, _), result) in frontier[..take].iter().zip(results) {
-                    let records = result?;
-                    let mut out = Vec::with_capacity(records.len());
-                    for rec in records {
-                        level_transitions += 1;
-                        let target = if let Some(t) = rec.known {
-                            dedup_hits += 1;
-                            t
-                        } else {
-                            let key = rec.key.expect("unknown successors carry their key");
-                            let shard = ShardedIndex::shard_of(&key);
-                            let (ord, class) = classes[shard][cursors[shard]];
-                            cursors[shard] += 1;
-                            debug_assert_eq!(ord, targets.len(), "phase ordinals in lock-step");
-                            let t = match class {
-                                MergeClass::Known(t) => {
-                                    dedup_hits += 1;
-                                    t
-                                }
-                                MergeClass::Dup(first) => {
-                                    dedup_hits += 1;
-                                    targets[first]
-                                }
-                                MergeClass::New => {
-                                    let t = u32::try_from(configs.len())
-                                        .expect("graphs are bounded well below u32::MAX nodes");
-                                    next_frontier.push((t, key.clone()));
-                                    index.insert(key, t);
-                                    configs.push(
-                                        rec.config
-                                            .expect("new successors carry their configuration")
-                                            .into_config(),
-                                    );
-                                    edges.push(vec![]);
-                                    expanded.push(false);
-                                    t
-                                }
-                            };
-                            targets.push(t);
-                            t
-                        };
-                        out.push(Edge {
-                            pid: rec.pid,
-                            outcome: rec.outcome,
-                            target: target as usize,
-                        });
-                    }
-                    edges[*node as usize] = out;
-                    expanded[*node as usize] = true;
-                }
-            }
-            expanded_count += take;
-            transitions += level_transitions;
-            // Live mirror: one batch of relaxed bumps per level (never per
-            // successor), plus O(1) gauge refreshes for the watcher.
-            if let Some(live) = live {
-                live.configs.add(take as u64);
-                live.transitions.add(level_transitions as u64);
-                live.dedup_hits
-                    .add((dedup_hits - live_dedup_reported) as u64);
-                live_dedup_reported = dedup_hits;
-                live.frontier_depth.set_usize(next_frontier.len());
-                live.mem_interner
-                    .set_usize(state_interner.approx_bytes() + proc_interner.approx_bytes());
-                live.mem_index.set_usize(index.approx_bytes());
-                live.mem_canon.set_usize(canon_memo.approx_bytes());
-            }
-            let level_elapsed = level_started.elapsed();
-            gate.observe(take, level_elapsed);
-            if parallel_level {
-                parallel_levels += 1;
-                merge_elapsed = level_elapsed.saturating_sub(expand_elapsed);
-            } else {
-                expand_elapsed = level_elapsed;
-            }
-            total_expand += expand_elapsed;
-            total_merge += merge_elapsed;
-            hists.level_expand.record(expand_elapsed);
-            if parallel_level {
-                hists.level_merge.record(merge_elapsed);
-            }
-            levels.push(LevelStats {
-                level,
-                width: take,
-                transitions: level_transitions,
-                elapsed: level_elapsed,
-                expand: expand_elapsed,
-                merge: merge_elapsed,
-                parallel: parallel_level,
-            });
-            tracer.emit_with("level", || {
-                Json::object()
-                    .set("level", level)
-                    .set("width", take)
-                    .set("transitions", level_transitions)
-                    .set("dedup", level_transitions - next_frontier.len())
-                    .set("parallel", parallel_level)
-                    .set("expand_us", duration_us(expand_elapsed))
-                    .set("merge_us", duration_us(merge_elapsed))
-                    .set("elapsed_us", duration_us(level_elapsed))
-            });
-            if let Some(cb) = on_progress.as_mut() {
-                cb(levels.last().expect("level just pushed"));
-            }
-            if take < frontier.len() {
-                // Truncated: the rest of this frontier (and everything newly
-                // discovered) stays unexpanded.
-                break;
-            }
-            frontier = next_frontier;
-        }
-
+        let Run {
+            state_interner,
+            proc_interner,
+            index,
+            memo,
+            canon_memo,
+            configs,
+            mut edges,
+            transitions,
+            dedup_hits,
+            peak_frontier,
+            levels,
+            expand,
+            memo_hits,
+            memo_misses,
+            ..
+        } = *run;
+        let expanded_count = edges.len();
+        edges.resize_with(configs.len(), Vec::new);
+        let expanded: Vec<bool> = (0..configs.len()).map(|i| i < expanded_count).collect();
+        let ws = ws.as_ref();
         let stats = ExploreStats {
             configs: configs.len(),
             expanded: expanded_count,
@@ -1699,39 +1289,42 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             distinct_proc_statuses: proc_interner.len(),
             peak_frontier,
             threads,
-            parallel_levels,
+            recruit,
             reduced: sym.is_some(),
             elapsed: started.elapsed(),
             phases: PhaseTimes {
-                expand: total_expand,
-                merge: total_merge,
+                expand,
+                merge: ws.map_or(Duration::ZERO, |w| w.merge),
                 canonicalize: canon_store.timer.total(),
             },
-            memo_hits: memo.hits.get() + seq_memo_hits,
-            memo_misses: memo.misses.get() + seq_memo_misses,
+            memo_hits: memo_hits + memo.hits.get() + ws.map_or(0, |w| w.memo_l1_hits),
+            memo_misses: memo_misses + memo.misses.get(),
             intern_hits: state_interner.hits() + proc_interner.hits(),
             intern_misses: state_interner.misses() + proc_interner.misses(),
             canon_calls: sym.map_or(0, ConfigSymmetry::canon_calls) - canon_calls_before,
             canon_patches: (sym.map_or(0, ConfigSymmetry::canon_fast_hits) - canon_fast_before)
-                + canon_memo.hits.get()
-                + seq_canon_hits,
+                + canon_memo.hits.get(),
             canon_full: sym.map_or(0, ConfigSymmetry::canon_full_calls) - canon_full_before,
-            work_stealing: false,
-            steals: 0,
-            steal_fails: 0,
-            local_hits: 0,
-            park_count: 0,
-            deque_grows: 0,
-            index_batch_hits: 0,
+            steals: ws.map_or(0, |w| w.steals),
+            steal_fails: ws.map_or(0, |w| w.steal_fails),
+            local_hits: ws.map_or(0, |w| w.local_hits),
+            park_count: ws.map_or(0, |w| w.park_count),
+            deque_grows: ws.map_or(0, |w| w.deque_grows),
+            index_batch_hits: ws.map_or(0, |w| w.index_batch_hits),
             interner_bytes: state_interner.approx_bytes() + proc_interner.approx_bytes(),
             index_bytes: index.approx_bytes(),
             levels,
-            workers: Vec::new(),
+            workers: ws.map_or_else(Vec::new, |w| w.workers.clone()),
             hist: {
                 hists.canonicalize.merge(&canon_store.hist);
                 hists
             },
         };
+        if let Some(live) = live {
+            live.frontier_depth.set(0);
+            live.mem_interner.set_usize(stats.interner_bytes);
+            live.mem_index.set_usize(stats.index_bytes);
+        }
         tracer.emit_with("explore.end", || stats.to_json());
         Ok(ExplorationGraph {
             configs,
@@ -1743,15 +1336,309 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         })
     }
 
-    /// The work-stealing engine behind [`Frontier::WorkStealing`]: no BFS
-    /// levels, no barriers. Each worker owns a LIFO deque of pending nodes;
-    /// an idle worker steals the older half of a victim's deque (FIFO end —
-    /// thieves take the work closest to the root, whose subtrees are
-    /// largest). Deduplication goes through a [`ConcurrentIndex`] that
-    /// assigns node indices in discovery order, so the graph's indexing is
-    /// scheduling-dependent while its *content* — configuration set, edge
-    /// multiset, stats aggregates — matches the deterministic engine's on
-    /// complete runs (see [`Exploration::frontier`]).
+    /// The sequential BFS from `initial`: expands one level at a time on
+    /// the calling thread, merging every successor into the live index on
+    /// the spot. With `may_recruit`, checks the recruitment gate at each
+    /// level boundary and hands the frontier to [`Explorer::work_steal`]
+    /// once it opens. Levels below `quiet_levels` were already reported by
+    /// an abandoned hand-off and emit no events or callbacks.
+    fn bfs(
+        &self,
+        initial: Configuration<P::LocalState>,
+        ctx: &RunCtx<'_, '_, P::LocalState>,
+        may_recruit: bool,
+        on_progress: &mut Option<ProgressCallback<'_>>,
+        quiet_levels: usize,
+    ) -> Result<Finished<P::LocalState>, RuntimeError> {
+        // Under symmetry reduction every graph node is the canonical
+        // representative of its orbit, starting with the root.
+        let initial = match ctx.sym {
+            Some(s) => s.canonicalize(&initial),
+            None => initial,
+        };
+        let width = initial.object_states.len() + initial.procs.len();
+        let mut run = Run {
+            state_interner: Interner::new(),
+            proc_interner: Interner::new(),
+            index: ConcurrentIndex::new(),
+            memo: TransitionMemo::new(),
+            canon_memo: CanonMemo::new(),
+            configs: Vec::new(),
+            edges: Vec::new(),
+            frontier: Vec::new(),
+            transitions: 0,
+            dedup_hits: 0,
+            peak_frontier: 0,
+            levels: Vec::new(),
+            expand: Duration::ZERO,
+            memo_hits: 0,
+            memo_misses: 0,
+            scratch: vec![0; width],
+            out: Vec::new(),
+        };
+        let initial_key = self.compact(&initial, &run.state_interner, &run.proc_interner);
+        run.index.insert_mut(&initial_key);
+        run.configs.push(initial);
+        run.frontier.extend_from_slice(&initial_key);
+        let key_len = initial_key.len();
+        let mut complete = true;
+        // Cumulative dedup already mirrored into the live registry, so the
+        // per-level live update adds exactly the level's delta.
+        let mut live_dedup_reported = 0usize;
+
+        while run.edges.len() < run.configs.len() {
+            let width = run.configs.len() - run.edges.len();
+            // The budget counts *expanded* configurations: truncate the
+            // level to whatever budget remains, in one pass.
+            let take = width.min(ctx.limits.max_configs.saturating_sub(run.edges.len()));
+            // Recruit only where the pool can finish the level: a level the
+            // budget already cuts stays sequential.
+            if may_recruit
+                && take == width
+                && (ctx.force || gate_open(ctx.started.elapsed(), &run.levels, ctx.recruit_after))
+            {
+                let recruit = Recruit {
+                    level: run.levels.len(),
+                    at: ctx.started.elapsed(),
+                    helpers: ctx.threads - 1,
+                    rerun: false,
+                };
+                let root = run.configs[0].clone();
+                return Ok(match self.work_steal(run, ctx, recruit, on_progress) {
+                    Some((run, ws)) => Finished::Built {
+                        run: Box::new(run),
+                        complete: true,
+                        ws: Some(ws),
+                    },
+                    None => Finished::Rerun { recruit, root },
+                });
+            }
+            run.peak_frontier = run.peak_frontier.max(width);
+            if take < width {
+                complete = false;
+            }
+            if take == 0 {
+                break;
+            }
+            let level = run.levels.len();
+            let level_started = Instant::now();
+            let first = run.edges.len();
+            let known = run.configs.len();
+            let frontier = std::mem::take(&mut run.frontier);
+            let mut level_transitions = 0usize;
+            for k in 0..take {
+                let parent_key = &frontier[k * key_len..(k + 1) * key_len];
+                level_transitions += self.expand_seq(&mut run, first + k, parent_key, ctx)?;
+            }
+            run.transitions += level_transitions;
+            let elapsed = level_started.elapsed();
+            run.expand += elapsed;
+            let new = run.configs.len() - known;
+            run.dedup_hits += level_transitions - new;
+            // Live mirror: one batch of relaxed bumps per level (never per
+            // successor), plus O(1) gauge refreshes for the watcher.
+            if let Some(live) = ctx.live {
+                live.configs.add(take as u64);
+                live.transitions.add(level_transitions as u64);
+                live.dedup_hits
+                    .add((run.dedup_hits - live_dedup_reported) as u64);
+                live_dedup_reported = run.dedup_hits;
+                live.frontier_depth.set_usize(new);
+                live.mem_interner.set_usize(
+                    run.state_interner.approx_bytes() + run.proc_interner.approx_bytes(),
+                );
+                live.mem_index.set_usize(run.index.approx_bytes());
+                live.mem_canon.set_usize(run.canon_memo.approx_bytes());
+            }
+            let stats = LevelStats {
+                level,
+                width: take,
+                transitions: level_transitions,
+                elapsed,
+            };
+            run.levels.push(stats);
+            if level >= quiet_levels {
+                ctx.hists.level_expand.record(elapsed);
+                report_level(ctx.tracer, on_progress, &stats, new, false);
+            }
+            if take < width {
+                // Truncated: the rest of this frontier (and everything newly
+                // discovered) stays unexpanded.
+                break;
+            }
+        }
+        Ok(Finished::Built {
+            run: Box::new(run),
+            complete,
+            ws: None,
+        })
+    }
+
+    /// Expands node `node` (whose compact key is `parent_key`) on the
+    /// sequential path: each successor is probed against the live index
+    /// and, when new, appended to the graph and the next level on the spot.
+    /// Returns the node's transition count.
+    ///
+    /// Successor keys are built by **delta-interning**: a successor differs
+    /// from its parent in exactly one object state and one process status,
+    /// so its key is the parent's key with two slots patched, and a
+    /// successor that deduplicates is never materialized. Steps go through
+    /// the [`TransitionMemo`], so a repeated step runs neither the object
+    /// specification nor the protocol.
+    fn expand_seq(
+        &self,
+        run: &mut Run<P::LocalState>,
+        node: usize,
+        parent_key: &[u32],
+        ctx: &RunCtx<'_, '_, P::LocalState>,
+    ) -> Result<usize, RuntimeError> {
+        let Run {
+            state_interner,
+            proc_interner,
+            index,
+            memo,
+            canon_memo,
+            configs,
+            edges,
+            frontier,
+            memo_hits,
+            memo_misses,
+            scratch,
+            out,
+            ..
+        } = run;
+        let n_procs = configs[node].procs.len();
+        let n_obj = parent_key.len() - n_procs;
+        out.clear();
+        for i in 0..n_procs {
+            let (obj, pairs) = {
+                let ProcStatus::Running(local) = &configs[node].procs[i] else {
+                    continue;
+                };
+                let pid = Pid(i);
+                let (obj, op) = self.protocol.pending_op(pid, local);
+                // `(pid, running local state)` determines `(obj, op)`, so
+                // the triple pins down the whole step.
+                let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
+                let pairs = match memo.shard_mut(memo_key).entry(memo_key) {
+                    std::collections::hash_map::Entry::Occupied(e) => {
+                        *memo_hits += 1;
+                        &**e.into_mut()
+                    }
+                    std::collections::hash_map::Entry::Vacant(v) => {
+                        *memo_misses += 1;
+                        &**v.insert(Arc::new(self.compute_pairs(
+                            &configs[node],
+                            pid,
+                            local,
+                            obj,
+                            &op,
+                            &mut *state_interner,
+                            &mut *proc_interner,
+                        )?))
+                    }
+                };
+                (obj, pairs)
+            };
+            for (outcome, &(succ_state, succ_proc)) in pairs.as_slice().iter().enumerate() {
+                scratch.copy_from_slice(parent_key);
+                scratch[obj.index()] = succ_state;
+                scratch[n_obj + i] = succ_proc;
+                let target = if let Some(symmetry) = ctx.sym {
+                    // Orbit mode: the dedup key is the compacted canonical
+                    // representative. The raw delta-patched key is not that
+                    // key, but it *identifies* the raw successor, so it
+                    // memoizes the canonicalization: on a hit neither the
+                    // raw successor nor any permuted copy is materialized.
+                    let (key, shared) = match canon_memo.get_mut(scratch) {
+                        Some(entry) => entry,
+                        None => {
+                            let mut raw = configs[node].clone();
+                            raw.object_states[obj.index()] =
+                                state_interner.resolve_mut(succ_state).clone();
+                            raw.procs[i] = proc_interner.resolve_mut(succ_proc).clone();
+                            let canon = timed_canonicalize(symmetry, &raw, ctx.canon_probe);
+                            let key = self.compact(&canon, state_interner, proc_interner);
+                            let arc = Arc::new(canon);
+                            canon_memo.insert_mut(
+                                scratch.as_slice().into(),
+                                (key.clone(), Arc::clone(&arc)),
+                            );
+                            (key, arc)
+                        }
+                    };
+                    match index.probe_mut(&key) {
+                        Some(t) => t,
+                        None => {
+                            let t = index.insert_mut(&key);
+                            frontier.extend_from_slice(&key);
+                            configs.push((*shared).clone());
+                            t
+                        }
+                    }
+                } else if let Some(t) = index.probe_mut(scratch) {
+                    t
+                } else {
+                    let t = index.insert_mut(scratch);
+                    // Build the successor from parts rather than
+                    // clone-then-overwrite: the two patched slots come from
+                    // the interner, the rest from the parent.
+                    let parent = &configs[node];
+                    let next = Configuration {
+                        object_states: parent
+                            .object_states
+                            .iter()
+                            .enumerate()
+                            .map(|(j, s)| {
+                                if j == obj.index() {
+                                    state_interner.resolve_mut(succ_state).clone()
+                                } else {
+                                    s.clone()
+                                }
+                            })
+                            .collect(),
+                        procs: parent
+                            .procs
+                            .iter()
+                            .enumerate()
+                            .map(|(j, p)| {
+                                if j == i {
+                                    proc_interner.resolve_mut(succ_proc).clone()
+                                } else {
+                                    p.clone()
+                                }
+                            })
+                            .collect(),
+                    };
+                    frontier.extend_from_slice(scratch);
+                    configs.push(next);
+                    t
+                };
+                out.push(Edge {
+                    pid: Pid(i),
+                    outcome,
+                    target: target as usize,
+                });
+            }
+        }
+        debug_assert_eq!(edges.len(), node, "BFS expands nodes in index order");
+        // Exact-size allocation; the scratch keeps its capacity.
+        edges.push(out.clone());
+        Ok(out.len())
+    }
+
+    /// The work-stealing hand-off: expands everything from `run`'s frontier
+    /// on a pool of `ctx.threads` workers — the calling thread plus the
+    /// recruited helpers — then assembles the pool's pieces into `run` in
+    /// canonical BFS order. Returns `None` when the pool would truncate or
+    /// a step failed; the caller then redoes the run sequentially.
+    ///
+    /// No levels, no barriers: each worker owns a LIFO deque of pending
+    /// nodes; an idle worker steals the older half of a victim's deque
+    /// (FIFO end — thieves take the work closest to the root, whose
+    /// subtrees are largest). The pool shares the run's
+    /// [`ConcurrentIndex`], which keeps assigning node indices in discovery
+    /// order past the sequential prefix.
     ///
     /// Termination uses a single pending-task counter: it is incremented
     /// before a node becomes stealable and decremented only after its
@@ -1771,64 +1658,37 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// is batched: each task pre-probes read-only, then resolves all
     /// missing keys with one [`ConcurrentIndex::get_or_insert_batch`] call
     /// — one lock round per shard per task instead of one per successor.
-    fn run_engine_ws(
+    #[allow(clippy::too_many_lines)]
+    fn work_steal(
         &self,
-        initial: Configuration<P::LocalState>,
-        options: ExploreOptions,
-        sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
-        tracer: &Tracer,
-        live: Option<&LiveMetrics>,
-    ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
-        let started = Instant::now();
-        let workers = options.resolved_threads().max(1);
-        let limits = options.limits;
+        mut run: Run<P::LocalState>,
+        ctx: &RunCtx<'_, '_, P::LocalState>,
+        recruit: Recruit,
+        on_progress: &mut Option<ProgressCallback<'_>>,
+    ) -> Option<(Run<P::LocalState>, WsReport)> {
+        let ws_started = Instant::now();
+        let workers = ctx.threads;
+        let (tracer, live, sym, canon_probe, hists) =
+            (ctx.tracer, ctx.live, ctx.sym, ctx.canon_probe, ctx.hists);
+        let traced = tracer.enabled();
+        // Nodes below `base` already have their canonical index; the
+        // frontier is `first..base`, and the pool numbers from `base` on.
+        let first = run.edges.len();
+        let base = run.configs.len();
+        tracer.emit_with("explore.recruit", || {
+            Json::object()
+                .set("level", recruit.level)
+                .set("at_us", duration_us(recruit.at))
+                .set("helpers", recruit.helpers)
+                .set("frontier", base - first)
+                .set("forced", ctx.force)
+        });
         if let Some(live) = live {
             live.workers.set_usize(workers);
         }
-        tracer.emit_with("explore.begin", || {
-            Json::object()
-                .set("threads", workers)
-                .set("max_configs", limits.max_configs)
-                .set("force_parallel", options.force_parallel)
-                .set("reduced", sym.is_some())
-                .set("frontier", "work-stealing")
-        });
-        let canon_store = CanonProbe::default();
-        let canon_probe = tracer.enabled().then_some(&canon_store);
-        let canon_calls_before = sym.map_or(0, ConfigSymmetry::canon_calls);
-        let canon_fast_before = sym.map_or(0, ConfigSymmetry::canon_fast_hits);
-        let canon_full_before = sym.map_or(0, ConfigSymmetry::canon_full_calls);
-        // Steal and per-task expand latencies need extra clock reads on the
-        // worker hot path, so they are recorded only when traced; the
-        // histograms themselves are relaxed atomics shared across workers.
-        let hists = LatencyHistograms::default();
-        let traced = tracer.enabled();
-
-        let initial = match sym {
-            Some(s) => s.canonicalize(&initial),
-            None => initial,
-        };
-        let state_interner: Interner<AnyState> = Interner::new();
-        let proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
-        let memo = TransitionMemo::new();
-        let canon_memo: CanonMemo<P::LocalState> = CanonMemo::new();
-        let index = ConcurrentIndex::new();
-        let n_obj = initial.object_states.len();
-        let n_procs = initial.procs.len();
-        let initial_key = self.compact(&initial, &state_interner, &proc_interner);
-        let (root, _) = index.get_or_insert(&initial_key);
-        debug_assert_eq!(root, 0, "the root is the first interned node");
-        // Raw mode moves the root into its task; shared mode keeps a handle
-        // so assembly can place the root even though `discovered` (which
-        // records at discovery, not expansion) never sees it.
-        let mut initial_shared: Option<Arc<Configuration<P::LocalState>>> = None;
-        let root_config = if sym.is_some() {
-            let arc = Arc::new(initial);
-            initial_shared = Some(Arc::clone(&arc));
-            WsConfig::Shared(arc)
-        } else {
-            WsConfig::Owned(initial)
-        };
+        let budget = ctx.limits.max_configs - first;
+        let n_procs = run.configs[0].procs.len();
+        let n_obj = run.configs[0].object_states.len();
 
         let mut owners: Vec<lfdeque::Owner<WsTask<P::LocalState>>> = Vec::with_capacity(workers);
         let mut stealers: Vec<lfdeque::Stealer<WsTask<P::LocalState>>> =
@@ -1838,26 +1698,39 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             owners.push(owner);
             stealers.push(stealer);
         }
-        owners[0].push(WsTask {
-            id: root,
-            key: initial_key,
-            config: root_config,
-        });
+        // Seed the deques round-robin with the frontier, so every worker
+        // starts on its own share instead of stealing its first task.
+        let frontier = std::mem::take(&mut run.frontier);
+        let seeded = base - first;
+        let key_len = n_obj + n_procs;
+        for (k, config) in run.configs.split_off(first).into_iter().enumerate() {
+            owners[k % workers].push(WsTask {
+                id: u32::try_from(first + k).expect("graphs are bounded well below u32::MAX nodes"),
+                key: frontier[k * key_len..(k + 1) * key_len].into(),
+                config,
+            });
+        }
         // Queued-or-in-flight nodes; bumped before a task becomes stealable,
         // dropped only after its children are enqueued.
-        let pending = AtomicUsize::new(1);
-        let peak_pending = AtomicUsize::new(1);
-        // Expansion budget claims, one per task; a claim at or past the
-        // limit marks the run truncated and leaves the node unexpanded.
+        let pending = AtomicUsize::new(seeded);
+        // Expansion claims, one per task; a claim past the budget stops the
+        // pool.
         let claimed = AtomicUsize::new(0);
         let truncated = AtomicBool::new(false);
         let abort = AtomicBool::new(false);
         let first_error: Mutex<Option<RuntimeError>> = Mutex::new(None);
+        let Run {
+            state_interner,
+            proc_interner,
+            index,
+            memo,
+            canon_memo,
+            ..
+        } = &run;
 
-        // The whole worker loop, shared between the two launch modes below:
-        // a lone worker runs it inline on the calling thread (no spawn/join
-        // round-trip on the gated 1-core path), while real fleets spawn it
-        // per worker under a scope. Captures the run state by reference.
+        // The whole worker loop: the calling thread runs it as worker 0,
+        // each recruited helper as one of the others. Captures the run
+        // state by reference.
         let run_worker = |me: usize, own: lfdeque::Owner<WsTask<P::LocalState>>| {
             let mut out = WsWorkerOut::default();
             let mut scratch = vec![0u32; n_obj + n_procs];
@@ -1891,10 +1764,9 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             // Consecutive failed sweeps drive the
             // spin→yield→park backoff; any found task resets it.
             let mut backoff: u32 = 0;
-            // Cumulative counts already mirrored into the live
+            // Cumulative transitions already mirrored into the live
             // registry; each task adds only its delta.
             let mut live_tx_reported = 0usize;
-            let mut live_dd_reported = 0usize;
             // Per-worker xorshift32 stream (odd seed from a
             // golden-ratio multiply) rotating each sweep's
             // starting victim so simultaneous thieves fan out
@@ -2037,22 +1909,18 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         }
                     }
                 };
-                if claimed.fetch_add(1, Ordering::Relaxed) >= limits.max_configs {
+                if claimed.fetch_add(1, Ordering::Relaxed) >= budget {
+                    // The sequential BFS would truncate this graph, and
+                    // its budget means a BFS prefix: stop the pool, the
+                    // run is redone sequentially.
                     truncated.store(true, Ordering::Relaxed);
-                    // An over-budget task dies unexpanded, but
-                    // raw mode must still deliver its (owned)
-                    // configuration to assembly; shared mode
-                    // recorded it at discovery.
-                    if let WsConfig::Owned(cfg) = task.config {
-                        out.discovered_owned.push((task.id, cfg));
-                    }
-                    pending.fetch_sub(1, Ordering::AcqRel);
-                    continue;
+                    abort.store(true, Ordering::Release);
+                    break;
                 }
                 // Per-task expansion timing is a clock read per
                 // task: traced runs only.
                 let task_t0 = traced.then(Instant::now);
-                let config = task.config.get();
+                let config = &task.config;
                 let parent_key = &task.key;
                 fixups.clear();
                 batch_keys.clear();
@@ -2073,8 +1941,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
                     // Entry API: a hit borrows the cached
                     // `Arc<Pairs>` in place — one hash, no
-                    // refcount traffic — mirroring the fused
-                    // sequential path's zero-clone memo.
+                    // refcount traffic — mirroring the sequential
+                    // BFS's zero-clone memo.
                     let pairs = match memo_l1.entry(memo_key) {
                         std::collections::hash_map::Entry::Occupied(e) => {
                             out.memo_l1_hits += 1;
@@ -2088,16 +1956,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 obj,
                                 &op,
                                 memo_key,
-                                &state_interner,
-                                &proc_interner,
-                                &memo,
+                                state_interner,
+                                proc_interner,
+                                memo,
                             ) {
                                 Ok(pairs) => slot.insert(pairs),
                                 Err(err) => {
                                     let mut slot = first_error.lock().expect("error slot poisoned");
                                     slot.get_or_insert(err);
                                     abort.store(true, Ordering::Release);
-                                    pending.fetch_sub(1, Ordering::AcqRel);
                                     break 'work;
                                 }
                             }
@@ -2118,7 +1985,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     raw.procs[i] =
                                         proc_interner.resolve_with(succ_proc, Clone::clone);
                                     let canon = timed_canonicalize(symmetry, &raw, canon_probe);
-                                    let key = self.compact(&canon, &state_interner, &proc_interner);
+                                    let key = self.compact(&canon, state_interner, proc_interner);
                                     let arc = Arc::new(canon);
                                     canon_memo.insert(
                                         scratch.as_slice().into(),
@@ -2129,7 +1996,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                             };
                             match index.probe(&key) {
                                 Some(t) => {
-                                    out.dedup_hits += 1;
                                     out.edge_pool.push(Edge {
                                         pid,
                                         outcome,
@@ -2151,7 +2017,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         } else {
                             match index.probe(&scratch) {
                                 Some(t) => {
-                                    out.dedup_hits += 1;
                                     out.edge_pool.push(Edge {
                                         pid,
                                         outcome,
@@ -2195,14 +2060,11 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         WsFixup::Canon { edge, arc } => {
                             out.edge_pool[edge as usize].target = t as usize;
                             if inserted {
-                                out.discovered.push((t, Arc::clone(&arc)));
                                 spawned.push(WsTask {
                                     id: t,
                                     key: Arc::clone(&batch_keys[b]),
-                                    config: WsConfig::Shared(arc),
+                                    config: (*arc).clone(),
                                 });
-                            } else {
-                                out.dedup_hits += 1;
                             }
                         }
                         WsFixup::Raw {
@@ -2225,25 +2087,22 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 spawned.push(WsTask {
                                     id: t,
                                     key: Arc::clone(&batch_keys[b]),
-                                    config: WsConfig::Owned(next),
+                                    config: next,
                                 });
-                            } else {
-                                out.dedup_hits += 1;
                             }
                         }
                     }
                 }
                 let edge_len = out.edge_pool.len() - edge_start;
+                let spawned_now = spawned.len();
                 out.tasks.push((
                     task.id,
                     u32::try_from(edge_start).expect("edge pool overflow"),
                     u32::try_from(edge_len).expect("edge fan-out overflow"),
                 ));
-                // Expansion done: a raw-mode task surrenders its
-                // configuration to the assembly set here.
-                if let WsConfig::Owned(cfg) = task.config {
-                    out.discovered_owned.push((task.id, cfg));
-                }
+                // Expansion done: the task surrenders its configuration
+                // to the assembly set here.
+                out.configs.push((task.id, task.config));
                 // Retire this task and enqueue its children in
                 // one `pending` update. The newest child (the
                 // task the LIFO pop would return next) stays in
@@ -2256,8 +2115,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     in_hand = spawned.pop();
                     let extra = spawned.len();
                     if extra > 0 {
-                        let now = pending.fetch_add(extra, Ordering::AcqRel) + extra + 1;
-                        peak_pending.fetch_max(now, Ordering::Relaxed);
+                        pending.fetch_add(extra, Ordering::AcqRel);
                         for child in spawned.drain(..) {
                             own.push(child);
                         }
@@ -2272,9 +2130,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     live.transitions
                         .add((out.transitions - live_tx_reported) as u64);
                     live_tx_reported = out.transitions;
-                    live.dedup_hits
-                        .add((out.dedup_hits - live_dd_reported) as u64);
-                    live_dd_reported = out.dedup_hits;
+                    live.dedup_hits.add(edge_len as u64 - spawned_now as u64);
                     live.frontier_depth
                         .set_usize(pending.load(Ordering::Relaxed));
                     if out.tasks.len().is_multiple_of(64) {
@@ -2333,53 +2189,51 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             }
             out
         };
-        let outs: Vec<WsWorkerOut<P::LocalState>> = if workers == 1 {
-            let own = owners.pop().expect("exactly one owner at workers == 1");
-            vec![run_worker(0, own)]
-        } else {
-            std::thread::scope(|s| {
-                let run_worker = &run_worker;
-                let handles: Vec<_> = owners
+        let outs: Vec<WsWorkerOut<P::LocalState>> = std::thread::scope(|s| {
+            let run_worker = &run_worker;
+            let mut owners = owners.into_iter();
+            let own0 = owners.next().expect("a pool has at least one worker");
+            let helpers: Vec<_> = owners
+                .enumerate()
+                .map(|(k, own)| s.spawn(move || run_worker(k + 1, own)))
+                .collect();
+            let mut outs = vec![run_worker(0, own0)];
+            outs.extend(
+                helpers
                     .into_iter()
-                    .enumerate()
-                    .map(|(me, own)| s.spawn(move || run_worker(me, own)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("work-stealing worker panicked"))
-                    .collect()
-            })
-        };
-        if let Some(err) = first_error.into_inner().expect("error slot poisoned") {
-            return Err(err);
+                    .map(|h| h.join().expect("work-stealing worker panicked")),
+            );
+            outs
+        });
+        let expand = ws_started.elapsed();
+        let merge_started = Instant::now();
+        if truncated.load(Ordering::Relaxed)
+            || first_error
+                .into_inner()
+                .expect("error slot poisoned")
+                .is_some()
+        {
+            return None;
         }
-        let canon_hits = canon_memo.hits.get();
-        // Release the memo's and the deques' shares so assembly can unwrap
-        // the Arcs (the stealers are the last handles keeping any
-        // unexpanded tasks — aborted runs — alive).
-        drop(canon_memo);
+        // The stealers are the last handles on tasks an aborted pool left
+        // queued; nothing is queued now, but release them before assembly.
         drop(stealers);
+        let total = index.len();
 
-        let count = index.len();
-        let mut configs: Vec<Option<Configuration<P::LocalState>>> =
-            (0..count).map(|_| None).collect();
-        if let Some(arc) = initial_shared {
-            configs[0] = Some(Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()));
-        }
-        let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); count];
-        let mut expanded = vec![false; count];
-        let mut expanded_count = 0usize;
-        let mut transitions = 0usize;
-        let mut dedup_hits = 0usize;
-        let mut steals = 0u64;
-        let mut steal_fails = 0u64;
-        let mut local_hits = 0u64;
-        let mut park_count = 0u64;
-        let mut deque_grows = 0u64;
+        // Assembly and canonical renumbering. `span[old - first]` locates a
+        // node's edges in its worker's pool; `renum[old - base]` is a pool
+        // node's canonical index. One BFS from the frontier, following each
+        // node's edges in their stored (pid, outcome) order, numbers the
+        // pool's nodes exactly as the sequential BFS would have.
+        let mut report = WsReport {
+            recruit,
+            ..WsReport::default()
+        };
         let mut deque_bytes = 0usize;
-        let mut index_batch_hits = 0u64;
-        let mut memo_l1_hits = 0u64;
-        let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(outs.len());
+        let mut span: Vec<(u32, u32, u32)> = vec![(0, 0, 0); total - first];
+        let mut slots: Vec<Option<Configuration<P::LocalState>>> =
+            (first..total).map(|_| None).collect();
+        let mut pools: Vec<Vec<Edge>> = Vec::with_capacity(outs.len());
         for (w, out) in outs.into_iter().enumerate() {
             tracer.emit_with("ws.worker", || {
                 Json::object()
@@ -2398,17 +2252,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     .set("idle_us", out.idle_ns / 1_000)
                     .set("busy_us", out.busy_ns / 1_000)
             });
-            transitions += out.transitions;
-            dedup_hits += out.dedup_hits;
-            steals += out.steals;
-            steal_fails += out.steal_fails;
-            local_hits += out.local_hits;
-            park_count += out.park_count;
-            deque_grows += out.deque_grows;
+            report.steals += out.steals;
+            report.steal_fails += out.steal_fails;
+            report.local_hits += out.local_hits;
+            report.park_count += out.park_count;
+            report.deque_grows += out.deque_grows;
+            report.index_batch_hits += out.index_batch_hits;
+            report.memo_l1_hits += out.memo_l1_hits;
             deque_bytes += out.deque_bytes;
-            index_batch_hits += out.index_batch_hits;
-            memo_l1_hits += out.memo_l1_hits;
-            worker_stats.push(WorkerStats {
+            report.workers.push(WorkerStats {
                 worker: w,
                 expanded: out.tasks.len(),
                 transitions: out.transitions,
@@ -2423,87 +2275,82 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 parked: Duration::from_nanos(out.parked_ns),
                 busy: Duration::from_nanos(out.busy_ns),
             });
-            for (id, arc) in out.discovered {
-                configs[id as usize] = Some(Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()));
-            }
-            for (id, cfg) in out.discovered_owned {
-                configs[id as usize] = Some(cfg);
-            }
+            let w = u32::try_from(w).expect("worker count fits u32");
             for (id, start, len) in out.tasks {
-                let start = start as usize;
-                edges[id as usize] = out.edge_pool[start..start + len as usize].to_vec();
-                expanded[id as usize] = true;
-                expanded_count += 1;
+                span[id as usize - first] = (w, start, len);
             }
+            for (id, config) in out.configs {
+                slots[id as usize - first] = Some(config);
+            }
+            pools.push(out.edge_pool);
         }
-        let configs: Vec<Configuration<P::LocalState>> = configs
-            .into_iter()
-            .map(|c| c.expect("every interned node carries a configuration"))
-            .collect();
-        let complete = !truncated.load(Ordering::Relaxed);
-        // One clock read for both the total and the expand phase: without a
-        // barrier the whole run is one expansion phase, and reading the
-        // clock twice would make `phases.measured()` exceed `elapsed`.
-        let elapsed = started.elapsed();
-
-        let stats = ExploreStats {
-            configs: configs.len(),
-            expanded: expanded_count,
-            transitions,
-            dedup_hits,
-            distinct_object_states: state_interner.len(),
-            distinct_proc_statuses: proc_interner.len(),
-            peak_frontier: peak_pending.load(Ordering::Relaxed),
-            threads: workers,
-            parallel_levels: 0,
-            reduced: sym.is_some(),
-            elapsed,
-            phases: PhaseTimes {
-                expand: elapsed,
-                merge: Duration::ZERO,
-                canonicalize: canon_store.timer.total(),
-            },
-            memo_hits: memo.hits.get() + memo_l1_hits,
-            memo_misses: memo.misses.get(),
-            intern_hits: state_interner.hits() + proc_interner.hits(),
-            intern_misses: state_interner.misses() + proc_interner.misses(),
-            canon_calls: sym.map_or(0, ConfigSymmetry::canon_calls) - canon_calls_before,
-            canon_patches: (sym.map_or(0, ConfigSymmetry::canon_fast_hits) - canon_fast_before)
-                + canon_hits,
-            canon_full: sym.map_or(0, ConfigSymmetry::canon_full_calls) - canon_full_before,
-            work_stealing: true,
-            steals,
-            steal_fails,
-            local_hits,
-            park_count,
-            deque_grows,
-            index_batch_hits,
-            interner_bytes: state_interner.approx_bytes() + proc_interner.approx_bytes(),
-            index_bytes: index.approx_bytes(),
-            levels: Vec::new(),
-            workers: worker_stats,
-            hist: {
-                hists.canonicalize.merge(&canon_store.hist);
-                hists
-            },
-        };
-        // Final gauge sync: the frontier is drained, and the deque
-        // footprint is only known after the owners returned.
+        let mut renum = vec![u32::MAX; total - base];
+        // `order[k]` is the original index of canonical node `first + k`.
+        let mut order: Vec<u32> = (first..base).map(|i| i as u32).collect();
+        order.reserve(total - base);
+        let mut next = u32::try_from(base).expect("graphs are bounded well below u32::MAX nodes");
+        let mut level_start = 0usize;
+        while level_start < order.len() {
+            let level_end = order.len();
+            let mut level_transitions = 0usize;
+            for k in level_start..level_end {
+                let (w, start, len) = span[order[k] as usize - first];
+                let edges = &pools[w as usize][start as usize..(start + len) as usize];
+                level_transitions += edges.len();
+                for e in edges {
+                    if e.target >= base && renum[e.target - base] == u32::MAX {
+                        renum[e.target - base] = next;
+                        next += 1;
+                        order.push(e.target as u32);
+                    }
+                }
+            }
+            let width = level_end - level_start;
+            let new = order.len() - level_end;
+            let stats = LevelStats {
+                level: run.levels.len(),
+                width,
+                transitions: level_transitions,
+                elapsed: Duration::ZERO,
+            };
+            run.levels.push(stats);
+            run.peak_frontier = run.peak_frontier.max(width);
+            run.transitions += level_transitions;
+            run.dedup_hits += level_transitions - new;
+            report_level(tracer, on_progress, &stats, new, true);
+            level_start = level_end;
+        }
+        debug_assert_eq!(order.len(), total - first, "every pool node is reachable");
+        run.edges.reserve(total - first);
+        run.configs.reserve(total - first);
+        for &old in &order {
+            let (w, start, len) = span[old as usize - first];
+            let edges = &pools[w as usize][start as usize..(start + len) as usize];
+            run.edges.push(
+                edges
+                    .iter()
+                    .map(|e| Edge {
+                        target: if e.target < base {
+                            e.target
+                        } else {
+                            renum[e.target - base] as usize
+                        },
+                        ..*e
+                    })
+                    .collect(),
+            );
+            run.configs.push(
+                slots[old as usize - first]
+                    .take()
+                    .expect("every expanded node carries its configuration"),
+            );
+        }
+        report.merge = merge_started.elapsed();
+        run.expand += expand;
         if let Some(live) = live {
-            live.frontier_depth.set(0);
-            live.mem_interner.set_usize(stats.interner_bytes);
-            live.mem_index.set_usize(stats.index_bytes);
             live.mem_deques.set_usize(deque_bytes);
         }
-        tracer.emit_with("explore.end", || stats.to_json());
-        Ok(ExplorationGraph {
-            configs,
-            edges,
-            expanded,
-            complete,
-            transitions,
-            stats,
-        })
+        Some((run, report))
     }
 
     /// Interns every component of `config` into a compact id vector:
@@ -2520,128 +2367,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             .map(|s| state_interner.intern(s))
             .chain(config.procs.iter().map(|p| proc_interner.intern(p)))
             .collect()
-    }
-
-    /// Computes all successors of one configuration by **delta-interning**:
-    /// a successor differs from its parent in exactly one object state and
-    /// one process status, so its dedup key is the parent's key with two
-    /// slots patched — only the two changed components are ever hashed.
-    /// Successors whose key pre-probes to an already-indexed node are
-    /// reported by index alone; their configuration is never materialized.
-    ///
-    /// The step itself goes through the [`TransitionMemo`]: on a hit, the
-    /// successor id pairs come straight out of the memo and neither the
-    /// object specification nor the protocol runs at all.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_node(
-        &self,
-        config: &Configuration<P::LocalState>,
-        parent_key: &[u32],
-        state_interner: &Interner<AnyState>,
-        proc_interner: &Interner<ProcStatus<P::LocalState>>,
-        memo: &TransitionMemo,
-        index: &ShardedIndex,
-        sym: Option<SymCtx<'_, '_, P::LocalState>>,
-        canon_probe: Option<&CanonProbe>,
-    ) -> NodeResult<P::LocalState> {
-        let n_obj = config.object_states.len();
-        let mut out = Vec::new();
-        let mut scratch: Vec<u32> = parent_key.to_vec();
-        for (i, status) in config.procs.iter().enumerate() {
-            let ProcStatus::Running(local) = status else {
-                continue;
-            };
-            let pid = Pid(i);
-            let (obj, op) = self.protocol.pending_op(pid, local);
-            // `(pid, running local state)` determines `(obj, op)`, so the
-            // triple below pins down the whole step.
-            let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
-            let pairs = self.step_pairs(
-                config,
-                pid,
-                local,
-                obj,
-                &op,
-                memo_key,
-                state_interner,
-                proc_interner,
-                memo,
-            )?;
-            for (outcome, &(succ_state, succ_proc)) in pairs.as_slice().iter().enumerate() {
-                if let Some((symmetry, canon_memo)) = sym {
-                    // Orbit mode: the dedup key is the compacted canonical
-                    // representative, reached through the canon memo keyed
-                    // by the raw delta-patched key (see `CanonMemo`).
-                    scratch.copy_from_slice(parent_key);
-                    scratch[obj.index()] = succ_state;
-                    scratch[n_obj + pid.index()] = succ_proc;
-                    let (key, shared) = match canon_memo.get(&scratch) {
-                        Some(entry) => entry,
-                        None => {
-                            let mut raw = config.clone();
-                            raw.object_states[obj.index()] =
-                                state_interner.resolve_with(succ_state, Clone::clone);
-                            raw.procs[pid.index()] =
-                                proc_interner.resolve_with(succ_proc, Clone::clone);
-                            let canon = timed_canonicalize(symmetry, &raw, canon_probe);
-                            let key = self.compact(&canon, state_interner, proc_interner);
-                            let arc = Arc::new(canon);
-                            canon_memo
-                                .insert(scratch.as_slice().into(), (key.clone(), Arc::clone(&arc)));
-                            (key, arc)
-                        }
-                    };
-                    if let Some(t) = index.probe(&key) {
-                        out.push(SuccRecord {
-                            pid,
-                            outcome,
-                            key: None,
-                            known: Some(t),
-                            config: None,
-                        });
-                    } else {
-                        out.push(SuccRecord {
-                            pid,
-                            outcome,
-                            key: Some(key),
-                            known: None,
-                            config: Some(SuccConfig::Shared(shared)),
-                        });
-                    }
-                    continue;
-                }
-                // Build the successor key in the scratch buffer; only
-                // successors that miss the index allocate a persistent key.
-                scratch.copy_from_slice(parent_key);
-                scratch[obj.index()] = succ_state;
-                scratch[n_obj + pid.index()] = succ_proc;
-                if let Some(t) = index.probe(&scratch) {
-                    out.push(SuccRecord {
-                        pid,
-                        outcome,
-                        key: None,
-                        known: Some(t),
-                        config: None,
-                    });
-                } else {
-                    // `resolve_with` clones the value under the shard's read
-                    // lock, skipping the Arc refcount round-trip `resolve`
-                    // would pay on this hot path.
-                    let mut next = config.clone();
-                    next.object_states[obj.index()] =
-                        state_interner.resolve_with(succ_state, Clone::clone);
-                    next.procs[pid.index()] = proc_interner.resolve_with(succ_proc, Clone::clone);
-                    out.push(SuccRecord {
-                        pid,
-                        outcome,
-                        key: Some(scratch.as_slice().into()),
-                        known: None,
-                        config: Some(SuccConfig::Owned(next)),
-                    });
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// The interned outcome pairs of one step, through the memo: on a hit,
@@ -2668,9 +2393,9 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     }
 
     /// The raw (un-memoized) step: run the specification and the protocol,
-    /// intern the results. Generic over the intern handle so the fused
-    /// single-threaded path gets the lock-free `&mut` interners while
-    /// parallel workers share the locking `&` ones.
+    /// intern the results. Generic over the intern handle so the sequential
+    /// BFS gets the lock-free `&mut` interners while work-stealing workers
+    /// share the locking `&` ones.
     #[allow(clippy::too_many_arguments)]
     fn compute_pairs<SI, PI>(
         &self,
@@ -2714,55 +2439,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 .map(|(response, obj_state)| pair(response, &obj_state))
                 .collect(),
         ))
-    }
-
-    /// Expands one level on `threads` scoped workers pulling node positions
-    /// from a shared atomic counter. Results land in per-position slots, so
-    /// scheduling order is invisible to the merge.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_level_parallel(
-        &self,
-        work: &[WorkItem<'_, P::LocalState>],
-        threads: usize,
-        state_interner: &Interner<AnyState>,
-        proc_interner: &Interner<ProcStatus<P::LocalState>>,
-        memo: &TransitionMemo,
-        index: &ShardedIndex,
-        sym: Option<SymCtx<'_, '_, P::LocalState>>,
-        canon_probe: Option<&CanonProbe>,
-    ) -> Vec<NodeResult<P::LocalState>> {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<NodeResult<P::LocalState>>>> =
-            work.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let pos = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(_, config, key)) = work.get(pos) else {
-                        break;
-                    };
-                    let result = self.expand_node(
-                        config,
-                        key,
-                        state_interner,
-                        proc_interner,
-                        memo,
-                        index,
-                        sym,
-                        canon_probe,
-                    );
-                    *slots[pos].lock().expect("expansion slot poisoned") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("expansion slot poisoned")
-                    .expect("every position was claimed by a worker")
-            })
-            .collect()
     }
 }
 
@@ -2907,10 +2583,10 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
         self
     }
 
-    /// Bypasses the adaptive parallel gate (see
-    /// [`ExploreOptions::force_parallel`]): every level of a multi-threaded
-    /// run takes the parallel path. For tests and benchmarks of the
-    /// parallel machinery.
+    /// Recruits the work-stealing helpers at the root instead of waiting
+    /// for the cost gate (see [`ExploreOptions::force_parallel`]). For
+    /// tests and benchmarks of the hand-off; the graph is the same either
+    /// way.
     pub fn force_parallel(mut self) -> Self {
         self.options.force_parallel = true;
         self
@@ -2938,27 +2614,12 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
         self
     }
 
-    /// Selects the frontier discipline (see [`Frontier`]).
-    ///
-    /// **Mode contract.** Both modes explore the same reachable set and
-    /// yield equal [`ExploreStats`] aggregates (`configs`, `expanded`,
-    /// `transitions`, `dedup_hits`, distinct-value counts) on complete
-    /// runs, so every checker verdict agrees between them.
-    /// [`Frontier::Deterministic`] additionally guarantees byte-identical
-    /// graphs — same node indices, same edge targets — across thread
-    /// counts; [`Frontier::WorkStealing`] assigns node indices in
-    /// discovery order, which depends on scheduling, and ignores
-    /// `on_progress` (there are no levels to report). Truncated
-    /// work-stealing runs cut the space at a scheduling-dependent
-    /// boundary, so only complete runs are comparable across modes.
-    pub fn frontier(mut self, frontier: Frontier) -> Self {
-        self.options.frontier = frontier;
-        self
-    }
-
     /// Registers a callback invoked after each BFS level is merged, with
     /// that level's [`LevelStats`] (which carries the level's BFS index in
-    /// [`LevelStats::level`]) — for progress reporting on long runs.
+    /// [`LevelStats::level`]) — for progress reporting on long runs. Levels
+    /// a recruited work-stealing pool expanded are reported once the pool
+    /// finishes, by the canonical renumbering pass; every level of
+    /// [`ExploreStats::levels`] is reported exactly once, in order.
     pub fn on_progress(mut self, callback: impl FnMut(&LevelStats) + 'e) -> Self {
         self.on_progress = Some(Box::new(callback));
         self
@@ -2966,8 +2627,8 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
 
     /// Attaches a [`Tracer`] for this run only, overriding whatever the
     /// explorer carries ([`Explorer::with_trace`]): the engine emits
-    /// `explore.begin`/`pargate`/`level`/`explore.end` phase events through
-    /// it, and per-call canonicalization timing is switched on. Build one
+    /// `explore.begin`/`level`/`explore.recruit`/`explore.end` phase events
+    /// through it, and per-call canonicalization timing is switched on. Build one
     /// over any [`lbsa_support::obs::TraceSink`]:
     ///
     /// ```ignore
@@ -3026,44 +2687,50 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// # Errors
     ///
     /// Propagates step errors (these indicate protocol bugs, not explored
-    /// behaviours). When several nodes of one level fail, the error of the
-    /// earliest node in frontier order is returned — the same error a
-    /// sequential exploration reports.
-    pub fn run(self) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
+    /// behaviours). The error is the one the sequential BFS meets first,
+    /// whatever the thread count.
+    pub fn run(mut self) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
+        let tracer = self
+            .tracer
+            .take()
+            .unwrap_or_else(|| self.explorer.tracer.clone());
+        let symmetry = self.symmetry.take();
         let live = self.live_metrics();
-        let initial = self.from.unwrap_or_else(|| self.explorer.initial_config());
-        let tracer = self.tracer.as_ref().unwrap_or(&self.explorer.tracer);
-        let model = match self.options.frontier {
-            Frontier::Deterministic => EtaModel::LevelSync,
-            Frontier::WorkStealing => EtaModel::WorkStealing,
-        };
-        let watcher = match (self.progress_every, &live) {
+        self.explore(&tracer, symmetry.as_ref(), live.as_ref())
+    }
+
+    /// The one exhaustive run behind [`run`](Exploration::run) and the
+    /// `check_*` terminals: the progress watcher (when asked for) around
+    /// the engine, and the final graph gauge.
+    fn explore(
+        &mut self,
+        tracer: &Tracer,
+        symmetry: Option<&ConfigSymmetry<'a, P::LocalState>>,
+        live: Option<&LiveMetrics>,
+    ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
+        let explorer = self.explorer;
+        let initial = self
+            .from
+            .take()
+            .unwrap_or_else(|| explorer.initial_config());
+        let watcher = match (self.progress_every, live) {
             (Some(period), Some(live)) if tracer.enabled() => Some(ProgressWatcher::spawn(
                 live.clone(),
                 tracer.clone(),
                 period,
-                model,
+                EtaModel::Exhaustive,
             )),
             _ => None,
         };
-        let result = match self.options.frontier {
-            Frontier::Deterministic => self.explorer.run_engine(
-                initial,
-                self.options,
-                self.on_progress,
-                self.symmetry.as_ref(),
-                tracer,
-                live.as_ref(),
-            ),
-            Frontier::WorkStealing => self.explorer.run_engine_ws(
-                initial,
-                self.options,
-                self.symmetry.as_ref(),
-                tracer,
-                live.as_ref(),
-            ),
-        };
-        if let (Some(live), Ok(graph)) = (&live, &result) {
+        let result = explorer.run_engine(
+            initial,
+            self.options,
+            self.on_progress.take(),
+            symmetry,
+            tracer,
+            live,
+        );
+        if let (Some(live), Ok(graph)) = (live, &result) {
             live.mem_graph.set_usize(graph.approx_bytes());
         }
         if let Some(watcher) = watcher {
@@ -3084,52 +2751,11 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
             .unwrap_or_else(|| explorer.tracer.clone());
         let symmetry = self.symmetry.take();
         let live = self.live_metrics();
-        let progress_every = self.progress_every;
         let graph = match self.strategy {
             // Sampling runs inside the verdict layer — the live handles
             // and cadence ride along in the returned parts.
             Strategy::Sample(_) => None,
-            Strategy::Exhaustive => {
-                let initial = self
-                    .from
-                    .take()
-                    .unwrap_or_else(|| explorer.initial_config());
-                let model = match self.options.frontier {
-                    Frontier::Deterministic => EtaModel::LevelSync,
-                    Frontier::WorkStealing => EtaModel::WorkStealing,
-                };
-                let watcher =
-                    match (progress_every, &live) {
-                        (Some(period), Some(live)) if tracer.enabled() => Some(
-                            ProgressWatcher::spawn(live.clone(), tracer.clone(), period, model),
-                        ),
-                        _ => None,
-                    };
-                let result = match self.options.frontier {
-                    Frontier::Deterministic => explorer.run_engine(
-                        initial,
-                        self.options,
-                        self.on_progress.take(),
-                        symmetry.as_ref(),
-                        &tracer,
-                        live.as_ref(),
-                    ),
-                    Frontier::WorkStealing => explorer.run_engine_ws(
-                        initial,
-                        self.options,
-                        symmetry.as_ref(),
-                        &tracer,
-                        live.as_ref(),
-                    ),
-                };
-                if let (Some(live), Ok(graph)) = (&live, &result) {
-                    live.mem_graph.set_usize(graph.approx_bytes());
-                }
-                if let Some(watcher) = watcher {
-                    watcher.finish();
-                }
-                Some(result)
-            }
+            Strategy::Exhaustive => Some(self.explore(&tracer, symmetry.as_ref(), live.as_ref())),
         };
         CheckParts {
             explorer,
@@ -3138,7 +2764,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
             symmetry,
             graph,
             live,
-            progress_every,
+            progress_every: self.progress_every,
         }
     }
 }
@@ -3298,9 +2924,8 @@ mod tests {
         let ex = Explorer::new(&p, &objects);
         let sequential = ex.exploration().threads(1).run().unwrap();
         for threads in [2, 4, 8] {
-            // Force the parallel path so the two-phase merge is actually
-            // exercised regardless of the adaptive gate's verdict on this
-            // machine.
+            // Recruit at the root so the pool and the canonical
+            // renumbering are exercised whatever the cost gate would do.
             let parallel = ex
                 .exploration()
                 .threads(threads)
@@ -3313,9 +2938,10 @@ mod tests {
             );
             assert_eq!(sequential.structural_digest(), parallel.structural_digest());
             assert_eq!(parallel.stats.threads, threads);
-            assert_eq!(parallel.stats.parallel_levels, parallel.stats.levels.len());
-            // The adaptive gate may legitimately keep everything sequential
-            // (e.g. on a single-core machine); the graph must still match.
+            assert!(parallel.stats.work_stealing());
+            assert_eq!(parallel.stats.recruit.map(|r| r.level), Some(0));
+            // The cost gate keeps a graph this small on the calling
+            // thread; the graph must match either way.
             let gated = ex.exploration().threads(threads).run().unwrap();
             assert!(sequential.same_structure(&gated));
         }
@@ -3359,22 +2985,22 @@ mod tests {
     }
 
     #[test]
-    fn multithreaded_runs_report_underparallelization() {
-        // A workload this tiny never crosses the parallel threshold: a
-        // threads(8) run must say so instead of implying it parallelized.
+    fn small_multithreaded_runs_never_recruit() {
+        // A workload this tiny finishes long before the cost gate opens: a
+        // threads(8) run must stay on the calling thread and say so.
         let p = RaceConsensus { n: 2 };
         let objects = vec![AnyObject::consensus(2).unwrap()];
-        let mut saw_parallel_level = false;
+        let mut seen = 0;
         let g = Explorer::new(&p, &objects)
             .exploration()
             .threads(8)
-            .on_progress(|level| saw_parallel_level |= level.parallel)
+            .on_progress(|_| seen += 1)
             .run()
             .unwrap();
-        assert_eq!(g.stats.parallel_levels, 0);
-        assert!(!saw_parallel_level);
-        assert!(g.stats.underparallelized());
-        assert!(g.stats.summary().contains("below parallel threshold"));
+        assert_eq!(g.stats.recruit, None);
+        assert!(g.stats.workers.is_empty());
+        assert_eq!(seen, g.stats.levels.len());
+        assert!(!g.stats.summary().contains("work-stealing"));
     }
 
     #[test]
@@ -3398,6 +3024,27 @@ mod tests {
         assert!(g.stats.peak_frontier >= 1);
         assert!(g.stats.dedup_rate() >= 0.0 && g.stats.dedup_rate() <= 1.0);
         assert!(!g.is_empty());
+    }
+
+    #[test]
+    fn a_protocol_without_processes_or_objects_has_one_expanded_config() {
+        // Empty compact keys: the frontier bookkeeping must not divide by
+        // the key length.
+        let p = RaceConsensus { n: 0 };
+        let objects: Vec<AnyObject> = Vec::new();
+        let ex = Explorer::new(&p, &objects);
+        for threads in [1, 2] {
+            let g = ex
+                .exploration()
+                .threads(threads)
+                .force_parallel()
+                .run()
+                .unwrap();
+            assert!(g.complete);
+            assert_eq!(g.len(), 1);
+            assert_eq!(g.expanded, vec![true]);
+            assert_eq!(g.transitions, 0);
+        }
     }
 
     #[test]
@@ -3731,22 +3378,23 @@ mod tests {
     fn phase_breakdown_is_bounded_by_elapsed() {
         let p = RaceConsensus { n: 4 };
         let objects = vec![AnyObject::consensus(4).unwrap()];
-        let g = Explorer::new(&p, &objects)
-            .exploration()
-            .threads(2)
-            .force_parallel()
-            .run()
-            .unwrap();
-        assert!(g.stats.phases.measured() <= g.stats.elapsed);
-        let expand: Duration = g.stats.levels.iter().map(|l| l.expand).sum();
-        let merge: Duration = g.stats.levels.iter().map(|l| l.merge).sum();
-        assert_eq!(g.stats.phases.expand, expand);
-        assert_eq!(g.stats.phases.merge, merge);
-        for l in &g.stats.levels {
-            assert!(l.expand + l.merge <= l.elapsed);
-        }
+        let ex = Explorer::new(&p, &objects);
+        // Sequential: the expand phase is exactly the sum of the levels,
+        // and nothing is merged.
+        let seq = ex.exploration().threads(1).run().unwrap();
+        assert!(seq.stats.phases.measured() <= seq.stats.elapsed);
+        let levels: Duration = seq.stats.levels.iter().map(|l| l.elapsed).sum();
+        assert_eq!(seq.stats.phases.expand, levels);
+        assert_eq!(seq.stats.phases.merge, Duration::ZERO);
+        // Handed off at the root: the pooled levels carry no clock, the
+        // pool's run is expansion, assembly is the merge phase.
+        let pooled = ex.exploration().threads(2).force_parallel().run().unwrap();
+        assert!(pooled.stats.phases.measured() <= pooled.stats.elapsed);
+        assert!(pooled.stats.levels.iter().all(|l| l.elapsed.is_zero()));
+        assert!(pooled.stats.phases.expand > Duration::ZERO);
         // Untraced runs never pay for per-call canonicalization clocks.
-        assert_eq!(g.stats.phases.canonicalize, Duration::ZERO);
+        assert_eq!(seq.stats.phases.canonicalize, Duration::ZERO);
+        assert_eq!(pooled.stats.phases.canonicalize, Duration::ZERO);
     }
 
     #[test]
@@ -3792,9 +3440,9 @@ mod tests {
             names.iter().filter(|n| **n == "level").count(),
             g.stats.levels.len()
         );
-        assert_eq!(
-            names.iter().filter(|n| **n == "pargate").count(),
-            g.stats.levels.len()
+        assert!(
+            !names.contains(&"explore.recruit"),
+            "a graph this small never recruits"
         );
         // The end event embeds the stats document.
         let end = sink.events().pop().unwrap();
@@ -3863,38 +3511,6 @@ mod tests {
         assert!(dot.contains("shape=doublecircle"), "terminal nodes styled");
     }
 
-    /// The full *content* of a graph, independent of node indexing: the
-    /// sorted configuration list and the sorted edge list with endpoints
-    /// replaced by their configurations. Two graphs with equal digests are
-    /// the same labelled transition system — the exact guarantee the
-    /// work-stealing mode makes relative to the deterministic one.
-    type ContentDigest<L> = (
-        Vec<Configuration<L>>,
-        Vec<(Configuration<L>, usize, usize, Configuration<L>)>,
-    );
-
-    fn content_digest<L: Clone + Ord>(g: &ExplorationGraph<L>) -> ContentDigest<L> {
-        let mut nodes = g.configs.clone();
-        nodes.sort();
-        let mut edges: Vec<_> = g
-            .edges
-            .iter()
-            .enumerate()
-            .flat_map(|(src, es)| {
-                es.iter().map(move |e| {
-                    (
-                        g.configs[src].clone(),
-                        e.pid.index(),
-                        e.outcome,
-                        g.configs[e.target].clone(),
-                    )
-                })
-            })
-            .collect();
-        edges.sort();
-        (nodes, edges)
-    }
-
     #[test]
     fn work_stealing_explores_the_same_state_space() {
         let p = RaceConsensus { n: 4 };
@@ -3905,27 +3521,33 @@ mod tests {
             let ws = ex
                 .exploration()
                 .threads(threads)
-                .frontier(Frontier::WorkStealing)
+                .force_parallel()
                 .run()
                 .unwrap();
             assert!(ws.complete);
-            assert_eq!(
-                content_digest(&det),
-                content_digest(&ws),
-                "content differs at {threads} threads"
+            // Canonical renumbering makes the pool's graph the sequential
+            // one, byte for byte, stats that describe its shape included.
+            assert!(
+                det.same_structure(&ws),
+                "graph differs at {threads} threads"
             );
             assert_eq!(ws.stats.configs, det.stats.configs);
             assert_eq!(ws.stats.expanded, det.stats.expanded);
             assert_eq!(ws.stats.transitions, det.stats.transitions);
             assert_eq!(ws.stats.dedup_hits, det.stats.dedup_hits);
-            assert!(ws.stats.work_stealing);
-            assert!(ws.stats.levels.is_empty());
+            assert_eq!(ws.stats.peak_frontier, det.stats.peak_frontier);
+            assert_eq!(ws.stats.depth(), det.stats.depth());
             assert_eq!(ws.stats.threads, threads);
-            // Every task is processed off a deque, either locally or stolen.
-            assert_eq!(
-                ws.stats.local_hits + ws.stats.steals,
-                ws.stats.configs as u64
-            );
+            // One thread has no helpers to recruit.
+            assert_eq!(ws.stats.work_stealing(), threads > 1);
+            if threads > 1 {
+                // Every task is processed off a deque, either locally or
+                // stolen.
+                assert_eq!(
+                    ws.stats.local_hits + ws.stats.steals,
+                    ws.stats.configs as u64
+                );
+            }
         }
     }
 
@@ -3940,12 +3562,12 @@ mod tests {
                 .exploration()
                 .symmetric()
                 .threads(threads)
-                .frontier(Frontier::WorkStealing)
+                .force_parallel()
                 .run()
                 .unwrap();
             assert!(ws.complete);
             assert!(ws.stats.reduced);
-            assert_eq!(content_digest(&det), content_digest(&ws));
+            assert!(det.same_structure(&ws));
             // Same orbit representatives, so the canonicalization effort is
             // accounted the same way: every transition either patched a
             // cached canonical form or recomputed one from scratch.
@@ -3962,24 +3584,31 @@ mod tests {
         let objects = vec![AnyObject::consensus(4).unwrap()];
         let ex = Explorer::new(&p, &objects);
         for budget in [1, 3, 7] {
+            let seq = ex
+                .exploration()
+                .max_configs(budget)
+                .threads(1)
+                .run()
+                .unwrap();
             let ws = ex
                 .exploration()
                 .max_configs(budget)
                 .threads(4)
-                .frontier(Frontier::WorkStealing)
+                .force_parallel()
                 .run()
                 .unwrap();
             assert!(!ws.complete, "budget {budget} cannot finish this space");
-            assert!(
-                ws.expanded.iter().filter(|&&e| e).count() <= budget,
-                "budget {budget} overspent"
+            // The pool runs past the budget, so the run is redone
+            // sequentially: the budget keeps meaning a BFS prefix.
+            assert!(seq.same_structure(&ws), "budget {budget}");
+            let recruit = ws.stats.recruit.expect("forced runs recruit");
+            assert!(recruit.rerun, "budget {budget} must fall back");
+            assert!(!ws.stats.work_stealing());
+            assert_eq!(
+                ws.expanded.iter().filter(|&&e| e).count(),
+                budget,
+                "budget {budget} spent exactly"
             );
-            // Discovered-but-unexpanded nodes stay in the graph edgeless.
-            for (i, es) in ws.edges.iter().enumerate() {
-                if !ws.expanded[i] {
-                    assert!(es.is_empty());
-                }
-            }
         }
     }
 
@@ -3990,13 +3619,13 @@ mod tests {
         let ws = Explorer::new(&p, &objects)
             .exploration()
             .threads(4)
-            .frontier(Frontier::WorkStealing)
+            .force_parallel()
             .run()
             .unwrap();
         assert!(ws.complete);
         assert!(ws.has_cycle());
         let det = Explorer::new(&p, &objects).exploration().run().unwrap();
-        assert_eq!(content_digest(&det), content_digest(&ws));
+        assert!(det.same_structure(&ws));
     }
 
     #[test]
@@ -4006,7 +3635,7 @@ mod tests {
         let ws = Explorer::new(&p, &objects)
             .exploration()
             .threads(2)
-            .frontier(Frontier::WorkStealing)
+            .force_parallel()
             .run()
             .unwrap();
         assert!(ws.complete);
@@ -4018,9 +3647,15 @@ mod tests {
         );
         assert_eq!(ws.stats.dedup_hits, ws.transitions - (ws.len() - 1));
         assert!(ws.stats.peak_frontier >= 1);
-        assert_eq!(ws.stats.parallel_levels, 0);
+        assert_eq!(
+            ws.stats.levels.iter().map(|l| l.width).sum::<usize>(),
+            ws.stats.expanded
+        );
+        assert_eq!(
+            ws.stats.levels.iter().map(|l| l.transitions).sum::<usize>(),
+            ws.transitions
+        );
         assert!(ws.stats.summary().contains("work-stealing"));
-        assert!(!ws.stats.underparallelized());
     }
 
     #[test]
@@ -4030,7 +3665,7 @@ mod tests {
         let ws = Explorer::new(&p, &objects)
             .exploration()
             .threads(4)
-            .frontier(Frontier::WorkStealing)
+            .force_parallel()
             .run()
             .unwrap();
         let stats = &ws.stats;
@@ -4069,7 +3704,7 @@ mod tests {
         let ws = Explorer::new(&p, &objects)
             .exploration()
             .threads(4)
-            .frontier(Frontier::WorkStealing)
+            .force_parallel()
             .trace(Tracer::new(sink.clone()))
             .run()
             .unwrap();
@@ -4132,7 +3767,7 @@ mod tests {
     }
 
     #[test]
-    fn level_sync_records_one_histogram_sample_per_level() {
+    fn sequential_runs_record_one_histogram_sample_per_level() {
         let p = RaceConsensus { n: 3 };
         let objects = vec![AnyObject::consensus(3).unwrap()];
         let g = Explorer::new(&p, &objects).exploration().run().unwrap();
@@ -4143,7 +3778,48 @@ mod tests {
         );
         assert!(
             g.stats.workers.is_empty(),
-            "level-sync runs have no per-worker breakdown"
+            "sequential runs have no per-worker breakdown"
+        );
+        // A run handed off at the root expands no level sequentially.
+        let pooled = Explorer::new(&p, &objects)
+            .exploration()
+            .threads(2)
+            .force_parallel()
+            .run()
+            .unwrap();
+        assert!(pooled.stats.hist.level_expand.is_empty());
+        assert_eq!(pooled.stats.workers.len(), 2);
+    }
+
+    #[test]
+    fn forced_hand_offs_emit_one_recruit_event() {
+        use lbsa_support::obs::MemorySink;
+        let p = RaceConsensus { n: 3 };
+        let objects = vec![AnyObject::consensus(3).unwrap()];
+        let sink = MemorySink::new();
+        let g = Explorer::new(&p, &objects)
+            .exploration()
+            .threads(2)
+            .force_parallel()
+            .trace(Tracer::new(sink.clone()))
+            .run()
+            .unwrap();
+        let names = sink.names();
+        assert_eq!(names.iter().filter(|n| **n == "explore.recruit").count(), 1);
+        // Every level is still reported once, by the canonical pass.
+        assert_eq!(
+            names.iter().filter(|n| **n == "level").count(),
+            g.stats.levels.len()
+        );
+        let recruit = sink
+            .events()
+            .into_iter()
+            .find(|e| e.name == "explore.recruit")
+            .expect("recruit event");
+        assert_eq!(recruit.fields.get("level").and_then(Json::as_i64), Some(0));
+        assert_eq!(
+            recruit.fields.get("helpers").and_then(Json::as_i64),
+            Some(1)
         );
     }
 }

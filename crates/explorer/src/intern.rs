@@ -10,10 +10,10 @@
 //!
 //! The interner is safe to call from several expansion workers
 //! concurrently; reads (the overwhelmingly common case — states repeat)
-//! take a read lock only. Ids are *not* required to be deterministic across
-//! runs: deduplication keys live and die inside one exploration, and graph
-//! node indices are assigned by the deterministic merge, never by interning
-//! order.
+//! take a read lock only, and the sequential engine's `&mut` accessors take
+//! none. Ids are *not* required to be deterministic across runs:
+//! deduplication keys live and die inside one exploration, and graph node
+//! indices are fixed by the engine's BFS order, never by interning order.
 
 use lbsa_support::hash::{FxHashMap, FxHasher};
 use lbsa_support::obs::Counter;
@@ -33,22 +33,81 @@ const MAP_ENTRY_OVERHEAD: usize = 24;
 /// Heap bytes behind one `Arc` header (strong + weak counts).
 const ARC_HEADER: usize = 16;
 
-/// Approximate heap bytes of one dedup-index entry: the shared
-/// `Arc<[u32]>` key payload plus the map slot holding the `(Arc, u32)`
-/// pair.
+/// Approximate heap bytes of one dedup-index entry: the map slot holding
+/// the `(IndexKey, u32)` pair, plus the key's payload when it is too long
+/// to sit inline.
 fn index_entry_bytes(key_len: usize) -> usize {
-    ARC_HEADER
-        + key_len * std::mem::size_of::<u32>()
-        + std::mem::size_of::<(CompactConfig, u32)>()
-        + MAP_ENTRY_OVERHEAD
+    let spilled = if key_len > INLINE_KEY {
+        key_len * std::mem::size_of::<u32>()
+    } else {
+        0
+    };
+    std::mem::size_of::<(IndexKey, u32)>() + MAP_ENTRY_OVERHEAD + spilled
+}
+
+/// Ids a dedup key holds inline: an object and eleven processes, or any
+/// smaller mix — every instance the experiments explore.
+const INLINE_KEY: usize = 12;
+
+/// A dedup-index key: a compact configuration stored inside the map slot
+/// when it is short — no allocation to make, no pointer to chase on a
+/// probe, nothing to free per entry when the index drops — and on the
+/// heap otherwise. It hashes and compares as the `[u32]` it holds, so
+/// lookups take a plain slice.
+#[derive(Clone, Debug)]
+enum IndexKey {
+    Inline { len: u8, ids: [u32; INLINE_KEY] },
+    Spilled(Box<[u32]>),
+}
+
+impl IndexKey {
+    fn new(key: &[u32]) -> Self {
+        if key.len() <= INLINE_KEY {
+            let mut ids = [0; INLINE_KEY];
+            ids[..key.len()].copy_from_slice(key);
+            IndexKey::Inline {
+                len: key.len() as u8,
+                ids,
+            }
+        } else {
+            IndexKey::Spilled(key.into())
+        }
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            IndexKey::Inline { len, ids } => &ids[..usize::from(*len)],
+            IndexKey::Spilled(ids) => ids,
+        }
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for IndexKey {}
+
+impl Hash for IndexKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl std::borrow::Borrow<[u32]> for IndexKey {
+    fn borrow(&self) -> &[u32] {
+        self.as_slice()
+    }
 }
 
 /// Bits of an interned id reserved for the shard number.
 const SHARD_BITS: u32 = SHARDS.trailing_zeros();
 
 /// A configuration compressed to interned ids: object-state ids followed by
-/// process-status ids. Reference-counted so the dedup index, the frontier,
-/// and in-flight successor records can share one allocation.
+/// process-status ids. Reference-counted so work-stealing tasks, batched
+/// index probes and the canonicalization memo can share one allocation.
 pub type CompactConfig = Arc<[u32]>;
 
 /// A concurrent hash-consing table: `intern` maps equal values to equal
@@ -66,7 +125,7 @@ pub type CompactConfig = Arc<[u32]>;
 ///   of the value, and insertion inside a shard is serialized by its write
 ///   lock). Ids are *not* deterministic across runs, and nothing may depend
 ///   on that: deduplication keys live and die inside one exploration, and
-///   graph node indices are assigned by the deterministic merge, never by
+///   graph node indices are fixed by the engine's BFS order, never by
 ///   interning order.
 ///
 /// Shard selection costs one extra Fx pass over the value per `intern`; the
@@ -283,93 +342,21 @@ impl<T: Eq + Hash + Clone> Default for Interner<T> {
 }
 
 /// The deduplication index: `CompactConfig` → graph node index, sharded by
-/// configuration hash.
+/// configuration hash and safe for concurrent insertion.
 ///
-/// Concurrency discipline: during a level's expansion, workers hold `&self`
-/// and [`probe`](ShardedIndex::probe) concurrently; between levels the merge
-/// holds `&mut self` and inserts. The borrow checker enforces the phases, so
-/// no locking is needed.
-#[derive(Debug)]
-pub struct ShardedIndex {
-    shards: Vec<FxHashMap<CompactConfig, u32>>,
-    bytes: usize,
-}
-
-impl ShardedIndex {
-    /// Creates an empty index.
-    #[must_use]
-    pub fn new() -> Self {
-        ShardedIndex {
-            shards: (0..SHARDS).map(|_| FxHashMap::default()).collect(),
-            bytes: 0,
-        }
-    }
-
-    /// Shard selection must be a pure function of the key's content, but it
-    /// need not be a strong hash — a cheap mix of the first and last ids
-    /// (an object state and a process status) spreads configurations well
-    /// without hashing the whole key twice per probe.
-    pub(crate) fn shard_of(key: &[u32]) -> usize {
-        let mix = key.first().copied().unwrap_or(0).wrapping_mul(0x9E37_79B9)
-            ^ key.last().copied().unwrap_or(0).wrapping_mul(0x85EB_CA6B);
-        (mix >> 24) as usize & (SHARDS - 1)
-    }
-
-    /// Looks up the node index of `key`, if already assigned.
-    #[must_use]
-    pub fn probe(&self, key: &[u32]) -> Option<u32> {
-        self.shards[Self::shard_of(key)].get(key).copied()
-    }
-
-    /// Assigns `index` to `key` (merge phase only).
-    pub fn insert(&mut self, key: CompactConfig, index: u32) {
-        let shard = Self::shard_of(&key);
-        self.bytes += index_entry_bytes(key.len());
-        self.shards[shard].insert(key, index);
-    }
-
-    /// Number of configurations indexed.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(FxHashMap::len).sum()
-    }
-
-    /// Returns `true` if no configuration is indexed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(FxHashMap::is_empty)
-    }
-
-    /// Approximate heap bytes held by the index, tracked incrementally at
-    /// insert time (O(1) to read). Structural estimate — see
-    /// [`Interner::approx_bytes`].
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl Default for ShardedIndex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The work-stealing frontier's deduplication index: `CompactConfig` → node
-/// index, sharded like [`ShardedIndex`] but safe for concurrent *insertion*.
-///
-/// Where [`ShardedIndex`] relies on the engine's level barrier to separate
-/// probe and insert phases, the work-stealing frontier has no barrier:
-/// workers discover and claim configurations continuously. Each shard is an
-/// independently locked map, and node indices come from one shared atomic
-/// counter bumped under the winning shard's write lock — so ids are dense
-/// (`0..len`), unique, and each key is inserted by exactly one winner. Ids
-/// depend on discovery order and are therefore **not** deterministic across
-/// runs; the work-stealing mode's contract is verdict equality, not graph
-/// byte-equality (see `crate::explore`).
+/// One index serves the whole run. The sequential BFS owns it and goes
+/// through the exclusive-access methods ([`ConcurrentIndex::probe_mut`],
+/// [`ConcurrentIndex::insert_mut`]), which skip the locks; when the run
+/// recruits work-stealing helpers, the same index is shared by reference.
+/// Each shard is an independently locked map, and node indices come from
+/// one shared atomic counter bumped under the winning shard's write lock —
+/// so ids are dense (`0..len`), unique, and each key is inserted by exactly
+/// one winner. Concurrent ids depend on discovery order; the engine
+/// renumbers them canonically before a graph leaves it (see
+/// `crate::explore`).
 #[derive(Debug)]
 pub struct ConcurrentIndex {
-    shards: [RwLock<FxHashMap<CompactConfig, u32>>; SHARDS],
+    shards: [RwLock<FxHashMap<IndexKey, u32>>; SHARDS],
     next: std::sync::atomic::AtomicU32,
     bytes: AtomicUsize,
 }
@@ -385,12 +372,22 @@ impl ConcurrentIndex {
         }
     }
 
+    /// Shard selection must be a pure function of the key's content, but it
+    /// need not be a strong hash — a cheap mix of the first and last ids
+    /// (an object state and a process status) spreads configurations well
+    /// without hashing the whole key twice per probe.
+    pub(crate) fn shard_of(key: &[u32]) -> usize {
+        let mix = key.first().copied().unwrap_or(0).wrapping_mul(0x9E37_79B9)
+            ^ key.last().copied().unwrap_or(0).wrapping_mul(0x85EB_CA6B);
+        (mix >> 24) as usize & (SHARDS - 1)
+    }
+
     /// Looks up the node index of `key`, if some worker already claimed it.
     /// A hit is final (the index is insert-only), but a miss is only a
     /// snapshot — claiming requires [`ConcurrentIndex::get_or_insert`].
     #[must_use]
     pub fn probe(&self, key: &[u32]) -> Option<u32> {
-        self.shards[ShardedIndex::shard_of(key)]
+        self.shards[Self::shard_of(key)]
             .read()
             .expect("index lock poisoned")
             .get(key)
@@ -401,17 +398,17 @@ impl ConcurrentIndex {
     /// is the first to claim it. The boolean is `true` for the (unique)
     /// winning insert — the caller that sees `true` owns the node: it must
     /// record the configuration and schedule its expansion.
-    pub fn get_or_insert(&self, key: &CompactConfig) -> (u32, bool) {
-        let shard = ShardedIndex::shard_of(key);
+    pub fn get_or_insert(&self, key: &[u32]) -> (u32, bool) {
+        let shard = Self::shard_of(key);
         if let Some(&id) = self.shards[shard]
             .read()
             .expect("index lock poisoned")
-            .get(key.as_ref())
+            .get(key)
         {
             return (id, false);
         }
         let mut guard = self.shards[shard].write().expect("index lock poisoned");
-        if let Some(&id) = guard.get(key.as_ref()) {
+        if let Some(&id) = guard.get(key) {
             return (id, false); // raced with another winner
         }
         // Bumped under the shard's write lock: every fetch_add result is
@@ -420,7 +417,7 @@ impl ConcurrentIndex {
         assert!(id < u32::MAX, "concurrent index overflow");
         self.bytes
             .fetch_add(index_entry_bytes(key.len()), Ordering::Relaxed);
-        guard.insert(Arc::clone(key), id);
+        guard.insert(IndexKey::new(key), id);
         (id, true)
     }
 
@@ -466,7 +463,7 @@ impl ConcurrentIndex {
         // beats any allocation-heavy grouping.
         let mut by_shard: [Vec<usize>; SHARDS] = std::array::from_fn(|_| Vec::new());
         for (i, key) in keys.iter().enumerate() {
-            by_shard[ShardedIndex::shard_of(key)].push(i);
+            by_shard[Self::shard_of(key)].push(i);
         }
         for (shard, members) in by_shard.iter_mut().enumerate() {
             if members.is_empty() {
@@ -500,11 +497,45 @@ impl ConcurrentIndex {
                 assert!(id < u32::MAX, "concurrent index overflow");
                 self.bytes
                     .fetch_add(index_entry_bytes(keys[i].len()), Ordering::Relaxed);
-                guard.insert(Arc::clone(&keys[i]), id);
+                guard.insert(IndexKey::new(&keys[i]), id);
                 results[i] = (id, true);
             }
         }
         hits
+    }
+
+    /// [`ConcurrentIndex::probe`] for exclusive access: `&mut self` proves
+    /// no other thread holds a lock, so the shard is read without one.
+    /// This is the dedup probe of the sequential BFS.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lock was poisoned by a panicking worker.
+    #[must_use]
+    pub fn probe_mut(&mut self, key: &[u32]) -> Option<u32> {
+        self.shards[Self::shard_of(key)]
+            .get_mut()
+            .expect("index lock poisoned")
+            .get(key)
+            .copied()
+    }
+
+    /// Assigns the next node index to `key`, which the caller has just
+    /// probed absent, without taking a lock (exclusive access).
+    ///
+    /// # Panics
+    ///
+    /// Panics on index overflow or if a lock was poisoned.
+    pub fn insert_mut(&mut self, key: &[u32]) -> u32 {
+        let id = *self.next.get_mut();
+        assert!(id < u32::MAX, "concurrent index overflow");
+        *self.next.get_mut() = id + 1;
+        *self.bytes.get_mut() += index_entry_bytes(key.len());
+        self.shards[Self::shard_of(key)]
+            .get_mut()
+            .expect("index lock poisoned")
+            .insert(IndexKey::new(key), id);
+        id
     }
 
     /// Number of configurations claimed so far.
@@ -732,18 +763,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_round_trips() {
-        let mut index = ShardedIndex::new();
+    fn exclusive_index_path_round_trips() {
+        // The sequential engine's lock-free path hands out the same dense
+        // ids the shared path does, and the two views agree afterwards.
+        let mut index = ConcurrentIndex::new();
         assert!(index.is_empty());
         for i in 0..100u32 {
-            let key: CompactConfig = vec![i, i + 1, i + 2].into();
-            assert_eq!(index.probe(&key), None);
-            index.insert(key, i);
+            let key = [i, i + 1, i + 2];
+            assert_eq!(index.probe_mut(&key), None);
+            assert_eq!(index.insert_mut(&key), i);
         }
         assert_eq!(index.len(), 100);
         for i in 0..100u32 {
+            assert_eq!(index.probe_mut(&[i, i + 1, i + 2]), Some(i));
             assert_eq!(index.probe(&[i, i + 1, i + 2]), Some(i));
         }
+        // A shared-path insert after an exclusive run continues the ids.
+        let key: CompactConfig = vec![1000, 0, 0].into();
+        assert_eq!(index.get_or_insert(&key), (100, true));
     }
 
     #[test]
@@ -764,13 +801,18 @@ mod tests {
             "linear in distinct values"
         );
 
-        let mut index = ShardedIndex::new();
+        let mut index = ConcurrentIndex::new();
         assert_eq!(index.approx_bytes(), 0);
-        index.insert(vec![1, 2, 3].into(), 0);
+        index.insert_mut(&[1, 2, 3]);
         let one = index.approx_bytes();
         assert!(one >= 3 * 4, "at least the key payload");
-        index.insert(vec![4, 5, 6].into(), 1);
+        index.insert_mut(&[4, 5, 6]);
         assert_eq!(index.approx_bytes(), 2 * one);
+        // A key too long to sit inline also counts its heap payload.
+        let long: Vec<u32> = (0..40).collect();
+        index.insert_mut(&long);
+        assert_eq!(index.approx_bytes(), 3 * one + 40 * 4);
+        assert_eq!(index.probe_mut(&long), Some(2));
 
         let conc = ConcurrentIndex::new();
         assert_eq!(conc.approx_bytes(), 0);

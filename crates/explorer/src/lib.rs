@@ -57,7 +57,7 @@ pub mod verdict;
 pub use config::Configuration;
 pub use error::CheckError;
 pub use explore::{
-    Exploration, ExplorationGraph, ExploreOptions, Explorer, Frontier, Limits, StepRecord, Strategy,
+    Exploration, ExplorationGraph, ExploreOptions, Explorer, Limits, StepRecord, Strategy,
 };
 pub use lbsa_support::obs::{
     Counter, Gauge, JsonlSink, MemorySink, Registry, StderrSink, TraceSink, Tracer,
@@ -66,7 +66,8 @@ pub use sampling::{
     sample_confidence, SampleConfig, SampleReport, SampleViolation, OUTCOME_SEED_XOR,
 };
 pub use stats::{
-    ExploreStats, LatencyHistograms, LevelStats, PhaseTimes, SampleWorkerStats, WorkerStats,
+    ExploreStats, LatencyHistograms, LevelStats, PhaseTimes, Recruit, SampleWorkerStats,
+    WorkerStats,
 };
 pub use symmetry::{Concretizer, ConfigSymmetry};
 pub use valency::{Valence, ValencyAnalysis};

@@ -13,7 +13,7 @@
 //! [`Exploration::registry`](crate::Exploration::registry) or
 //! [`Exploration::progress_every`](crate::Exploration::progress_every) —
 //! the engines take `Option<&LiveMetrics>` and the disabled path is one
-//! branch per level (deterministic engine) or per task (work-stealing).
+//! branch per level (sequential BFS) or per task (work-stealing pool).
 //! Enabled, every update is a relaxed atomic on a handle shared with the
 //! watcher; the registry lock is touched only at registration and
 //! snapshot.
@@ -30,9 +30,11 @@
 //!
 //! `eta_us` is `-1` when no estimate is available; the model depends on
 //! the strategy (see [`EtaModel`]): sampling scales elapsed time by the
-//! remaining run budget, work-stealing divides the pending-task gauge by
-//! the EMA rate, and level-synchronous BFS fits a geometric
-//! frontier-growth model to consecutive frontier readings.
+//! remaining run budget; an exhaustive run fits a geometric
+//! frontier-growth model to consecutive frontier readings while it is a
+//! sequential BFS (`"strategy":"level-sync"`), and divides the pending-task
+//! gauge by the EMA rate once it has recruited a work-stealing pool
+//! (`"strategy":"work-stealing"`).
 
 use lbsa_support::json::Json;
 use lbsa_support::obs::{Counter, Gauge, Registry, Tracer};
@@ -54,10 +56,11 @@ pub(crate) struct LiveMetrics {
     /// `explore.dedup_hits` — successors that resolved to a known node.
     pub dedup_hits: Arc<Counter>,
     /// `explore.frontier_depth` — pending work: the next BFS frontier's
-    /// width (deterministic engine) or the pending-task count
-    /// (work-stealing).
+    /// width (sequential BFS) or the pending-task count (work-stealing
+    /// pool).
     pub frontier_depth: Arc<Gauge>,
-    /// `explore.workers` — worker thread count of the running engine.
+    /// `explore.workers` — threads the run is using right now: 1 on the
+    /// sequential BFS, the pool size once helpers are recruited.
     pub workers: Arc<Gauge>,
     /// `explore.parked_workers` — workers currently in a timed park.
     pub parked_workers: Arc<Gauge>,
@@ -119,30 +122,19 @@ impl LiveMetrics {
 /// each exposes a different notion of "work remaining".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum EtaModel {
-    /// Level-synchronous BFS: remaining work is estimated from the
-    /// geometric growth ratio of consecutive frontier readings `g =
-    /// f_now / f_prev` — when the frontier shrinks (`g < 1`) the tail sums
-    /// to `f_now / (1 - g)` nodes; while it still grows the ETA is
-    /// unknown (`-1`).
-    LevelSync,
-    /// Work-stealing: the pending-task gauge *is* the known remaining
-    /// work; ETA divides it by the EMA rate. An underestimate while
-    /// discovery outpaces expansion — documented, not corrected.
-    WorkStealing,
+    /// An exhaustive run, which may change phase mid-run. While it is a
+    /// sequential BFS (`explore.workers` reads 1), remaining work is
+    /// estimated from the geometric growth ratio of consecutive frontier
+    /// readings `g = f_now / f_prev` — when the frontier shrinks (`g < 1`)
+    /// the tail sums to `f_now / (1 - g)` nodes; while it still grows the
+    /// ETA is unknown (`-1`). Once helpers are recruited, the pending-task
+    /// gauge *is* the known remaining work and ETA divides it by the EMA
+    /// rate — an underestimate while discovery outpaces expansion,
+    /// documented, not corrected.
+    Exhaustive,
     /// Sampling: the run budget is fixed up front, so ETA scales elapsed
     /// time by `remaining / done`.
     Sampling,
-}
-
-impl EtaModel {
-    /// The strategy tag carried by every `progress` event.
-    fn strategy(self) -> &'static str {
-        match self {
-            EtaModel::LevelSync => "level-sync",
-            EtaModel::WorkStealing => "work-stealing",
-            EtaModel::Sampling => "sampling",
-        }
-    }
 }
 
 /// Between-tick state of the watcher's rate and ETA estimators.
@@ -200,8 +192,13 @@ impl ProgressState {
         };
         self.prev_frontier = Some(frontier);
 
+        let strategy = match self.model {
+            EtaModel::Sampling => "sampling",
+            EtaModel::Exhaustive if workers > 1 => "work-stealing",
+            EtaModel::Exhaustive => "level-sync",
+        };
         Json::object()
-            .set("strategy", self.model.strategy())
+            .set("strategy", strategy)
             .set("configs", configs)
             .set("configs_per_sec", inst)
             .set("ema_configs_per_sec", ema)
@@ -238,14 +235,14 @@ impl ProgressState {
                     -1
                 }
             }
-            EtaModel::WorkStealing => {
+            EtaModel::Exhaustive if live.workers.get() > 1 => {
                 if ema > 0.0 && frontier >= 0 {
                     secs_to_us(frontier as f64 / ema)
                 } else {
                     -1
                 }
             }
-            EtaModel::LevelSync => match self.prev_frontier {
+            EtaModel::Exhaustive => match self.prev_frontier {
                 Some(prev) if prev > 0 && frontier > 0 && frontier < prev && ema > 0.0 => {
                     let g = frontier as f64 / prev as f64;
                     let remaining = frontier as f64 / (1.0 - g);
@@ -355,7 +352,7 @@ mod tests {
             live.clone(),
             tracer,
             Duration::from_millis(5),
-            EtaModel::WorkStealing,
+            EtaModel::Exhaustive,
         );
         for _ in 0..10 {
             live.configs.add(800);
@@ -398,8 +395,12 @@ mod tests {
         let sink = MemorySink::new();
         let tracer = Tracer::new(sink.clone());
         // Stop immediately: the run finished well inside one period.
-        let watcher =
-            ProgressWatcher::spawn(live, tracer, Duration::from_secs(3600), EtaModel::LevelSync);
+        let watcher = ProgressWatcher::spawn(
+            live,
+            tracer,
+            Duration::from_secs(3600),
+            EtaModel::Exhaustive,
+        );
         watcher.finish();
         let events = sink.events();
         assert_eq!(events.len(), 1, "exactly the final event");

@@ -23,35 +23,57 @@ pub struct LevelStats {
     pub width: usize,
     /// Transitions discovered while expanding this level.
     pub transitions: usize,
-    /// Wall-clock time spent on this level (expansion + merge).
+    /// Wall-clock time the sequential BFS spent on this level (successor
+    /// computation, canonicalization, interning, dedup and merge, which it
+    /// interleaves). Zero for levels a recruited work-stealing pool
+    /// expanded: the pool has no levels, and their shape comes from the
+    /// canonical renumbering pass.
     pub elapsed: Duration,
-    /// Wall-clock time of this level's expansion phase (successor
-    /// computation, canonicalization, interning, dedup probing). On the
-    /// fused sequential path expansion and merge are interleaved, so the
-    /// whole level is accounted here and [`LevelStats::merge`] is zero.
-    pub expand: Duration,
-    /// Wall-clock time of this level's merge phase (node-index assignment
-    /// and edge stitching). Nonzero only on the two-phase parallel path.
-    pub merge: Duration,
-    /// `true` if this level ran on the parallel expansion path. A progress
-    /// callback watching a multi-threaded run can use this to warn when the
-    /// workload never crosses the parallel threshold (see
-    /// [`ExploreStats::underparallelized`]).
-    pub parallel: bool,
+}
+
+/// Where a run recruited its work-stealing helpers (see
+/// [`crate::explore`]): the level boundary it handed off at, how long it
+/// had run by then, and how many helper threads joined the calling one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Recruit {
+    /// The BFS level handed to the pool (the first level the sequential
+    /// BFS did not expand).
+    pub level: usize,
+    /// Run time at the hand-off.
+    pub at: Duration,
+    /// Helper threads recruited (`threads - 1`).
+    pub helpers: usize,
+    /// `true` if the hand-off would have truncated or failed and the graph
+    /// was rebuilt on the sequential engine.
+    pub rerun: bool,
+}
+
+impl Recruit {
+    /// Serializes the `recruit` object of the `metrics.explore` report.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::object()
+            .set("level", self.level)
+            .set("at_us", duration_us(self.at))
+            .set("helpers", self.helpers)
+            .set("rerun", self.rerun)
+    }
 }
 
 /// Aggregate per-phase wall-clock breakdown of an exploration.
 ///
-/// `expand` and `merge` partition the measured per-level work (their sum is
-/// ≤ [`ExploreStats::elapsed`]; the remainder is frontier bookkeeping
-/// between levels). `canonicalize` is a *subset* of `expand`, measured
+/// `expand` covers the sequential levels and the work-stealing pool's run;
+/// `merge` is the hand-off's assembly and canonical renumbering (zero for
+/// runs that never recruited). Their sum is ≤ [`ExploreStats::elapsed`];
+/// the remainder is setup and bookkeeping. `canonicalize` is a *subset* of
+/// `expand`, measured
 /// per call and therefore only populated when a tracer is attached — the
 /// per-successor clock reads would otherwise violate the overhead policy.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
-    /// Total expansion-phase time across levels.
+    /// Expansion time: sequential levels plus the work-stealing pool.
     pub expand: Duration,
-    /// Total merge-phase time across levels (parallel levels only).
+    /// Assembly and canonical renumbering of a work-stealing hand-off.
     pub merge: Duration,
     /// Time inside orbit canonicalization (⊆ `expand`; zero unless the run
     /// was traced, see [`crate::Exploration::trace`]).
@@ -59,8 +81,8 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// The per-level time actually attributed to a phase
-    /// (`expand + merge`); always ≤ the run's total `elapsed`.
+    /// The time actually attributed to a phase (`expand + merge`); always
+    /// ≤ the run's total `elapsed`.
     #[must_use]
     pub fn measured(&self) -> Duration {
         self.expand + self.merge
@@ -198,18 +220,17 @@ impl SampleWorkerStats {
 /// nanosecond distributions that survive aggregation, where the
 /// [`PhaseTimes`] totals only say how much, not how it was spread.
 ///
-/// `level_expand`/`level_merge` record one sample per BFS level and are
-/// always on (per-level clock reads are already part of [`LevelStats`]).
+/// `level_expand` records one sample per sequentially expanded BFS level
+/// and is always on (per-level clock reads are already part of
+/// [`LevelStats`]).
 /// `steal` records the latency of each successful steal operation, and
 /// `canonicalize`/`task_expand` record per-call and per-task costs — all
 /// three need extra clock reads on hot paths and are therefore only
 /// populated when the run is traced.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyHistograms {
-    /// Per-level expansion-phase times (level-sync frontier, always on).
+    /// Per-level times of the sequential BFS (always on).
     pub level_expand: HistogramNs,
-    /// Per-level merge-phase times (parallel levels only, always on).
-    pub level_merge: HistogramNs,
     /// Latency of each successful steal operation (traced runs only).
     pub steal: HistogramNs,
     /// Size of each successful steal batch — raw task counts, not
@@ -217,7 +238,7 @@ pub struct LatencyHistograms {
     pub steal_batch: HistogramNs,
     /// Per-call orbit-canonicalization cost (traced, reduced runs only).
     pub canonicalize: HistogramNs,
-    /// Per-task expansion cost in the work-stealing frontier (traced runs
+    /// Per-task expansion cost in the work-stealing pool (traced runs
     /// only).
     pub task_expand: HistogramNs,
 }
@@ -229,7 +250,6 @@ impl LatencyHistograms {
     pub fn to_json(&self) -> Option<Json> {
         let named = [
             ("level_expand", &self.level_expand),
-            ("level_merge", &self.level_merge),
             ("steal", &self.steal),
             ("steal_batch", &self.steal_batch),
             ("canonicalize", &self.canonicalize),
@@ -264,12 +284,12 @@ pub struct ExploreStats {
     pub distinct_proc_statuses: usize,
     /// Widest BFS frontier encountered.
     pub peak_frontier: usize,
-    /// Worker threads used for frontier expansion.
+    /// Threads the run was allowed (the resolved
+    /// [`ExploreOptions::threads`](crate::ExploreOptions::threads)).
     pub threads: usize,
-    /// Number of BFS levels that actually ran on the parallel path. The
-    /// engine's adaptive gate keeps narrow or cheap levels sequential, so
-    /// this can be zero even when `threads > 1`.
-    pub parallel_levels: usize,
+    /// Where the run recruited work-stealing helpers; `None` when it ran
+    /// on the calling thread throughout.
+    pub recruit: Option<Recruit>,
     /// `true` if the exploration deduplicated on canonical orbit
     /// representatives (symmetry reduction) rather than raw configurations.
     pub reduced: bool,
@@ -297,9 +317,6 @@ pub struct ExploreStats {
     /// Canonicalizations that fell back to the full `|G|`-fold orbit
     /// enumeration. Zero unless symmetry-reduced.
     pub canon_full: u64,
-    /// `true` if the run used the work-stealing frontier
-    /// (`Frontier::WorkStealing`) instead of level-synchronous BFS.
-    pub work_stealing: bool,
     /// Successful steal operations across workers (work-stealing only).
     pub steals: u64,
     /// Steal sweeps that visited every other worker's deque and found
@@ -324,11 +341,11 @@ pub struct ExploreStats {
     pub interner_bytes: usize,
     /// Estimated heap footprint of the dedup index at the end of the run.
     pub index_bytes: usize,
-    /// Per-level breakdown, in BFS order. Empty in work-stealing mode,
-    /// which has no levels.
+    /// Per-level breakdown, in BFS order — for a handed-off run too, whose
+    /// pooled levels come from the canonical renumbering pass.
     pub levels: Vec<LevelStats>,
-    /// Per-worker breakdown, indexed by worker id. Populated by the
-    /// work-stealing frontier; empty for level-sync runs.
+    /// Per-worker breakdown, indexed by worker id. Populated when the run
+    /// recruited a work-stealing pool; empty otherwise.
     pub workers: Vec<WorkerStats>,
     /// Latency distributions (see [`LatencyHistograms`]).
     pub hist: LatencyHistograms,
@@ -374,19 +391,17 @@ impl ExploreStats {
         self.levels.len()
     }
 
-    /// `true` if more than one worker thread was requested but no level ever
-    /// crossed the parallel threshold — the whole run executed sequentially.
-    /// Callers asking for `threads(n)` on tiny workloads should surface this
-    /// instead of implying the run parallelized.
+    /// `true` if a work-stealing pool built this graph: helpers were
+    /// recruited and the hand-off was not rerun sequentially.
     #[must_use]
-    pub fn underparallelized(&self) -> bool {
-        !self.work_stealing && self.threads > 1 && self.parallel_levels == 0 && self.expanded > 0
+    pub fn work_stealing(&self) -> bool {
+        self.recruit.is_some_and(|r| !r.rerun)
     }
 
     /// Load-imbalance factor across workers: the busiest worker's expanded
     /// count over the per-worker mean. `1.0` is perfectly balanced; `1.0`
-    /// is also returned when there is no per-worker breakdown (level-sync
-    /// runs) or nothing was expanded.
+    /// is also returned when there is no per-worker breakdown (runs that
+    /// never recruited) or nothing was expanded.
     #[must_use]
     pub fn worker_imbalance(&self) -> f64 {
         let total: usize = self.workers.iter().map(|w| w.expanded).sum();
@@ -406,28 +421,29 @@ impl ExploreStats {
         } else {
             ""
         };
-        let frontier = if self.work_stealing {
-            ", work-stealing"
-        } else {
-            ""
-        };
-        let warn = if self.underparallelized() {
-            " [sequential: below parallel threshold]"
-        } else {
-            ""
+        let recruit = match self.recruit {
+            Some(r) if r.rerun => format!(
+                ", work-stealing hand-off at level {} rerun sequentially",
+                r.level
+            ),
+            Some(r) => format!(
+                ", work-stealing: {} helpers from level {} at {:.3}s",
+                r.helpers,
+                r.level,
+                r.at.as_secs_f64()
+            ),
+            None => String::new(),
         };
         format!(
-            "{} configs, {} transitions, {:.1}% dedup, depth {}, peak frontier {}, {} threads ({} parallel levels){}{}{}, {:.3}s ({:.0} configs/s, {}: {:.3}s expand / {:.3}s merge)",
+            "{} configs, {} transitions, {:.1}% dedup, depth {}, peak frontier {}, {} threads{}{}, {:.3}s ({:.0} configs/s, {}: {:.3}s expand / {:.3}s merge)",
             self.configs,
             self.transitions,
             100.0 * self.dedup_rate(),
             self.depth(),
             self.peak_frontier,
             self.threads,
-            self.parallel_levels,
             reduced,
-            frontier,
-            warn,
+            recruit,
             self.elapsed.as_secs_f64(),
             self.configs_per_sec(),
             self.phases.dominant(),
@@ -451,7 +467,10 @@ impl ExploreStats {
             .set("distinct_proc_statuses", self.distinct_proc_statuses)
             .set("peak_frontier", self.peak_frontier)
             .set("threads", self.threads)
-            .set("parallel_levels", self.parallel_levels)
+            .set(
+                "recruit",
+                self.recruit.as_ref().map_or(Json::Null, Recruit::to_json),
+            )
             .set("levels", self.levels.len())
             .set("reduced", self.reduced)
             .set("elapsed_us", duration_us(self.elapsed))
@@ -466,14 +485,6 @@ impl ExploreStats {
             .set("canon_calls", self.canon_calls)
             .set("canon_patches", self.canon_patches)
             .set("canon_full", self.canon_full)
-            .set(
-                "frontier",
-                if self.work_stealing {
-                    "work-stealing"
-                } else {
-                    "level-sync"
-                },
-            )
             .set("steals", self.steals)
             .set("steal_fails", self.steal_fails)
             .set("local_hits", self.local_hits)
@@ -541,36 +552,44 @@ mod tests {
     }
 
     #[test]
-    fn underparallelized_flags_silent_sequential_runs() {
+    fn recruitment_flows_into_json_and_summary() {
+        // A run that never recruited says nothing about helpers; one that
+        // did names the hand-off point; a rerun hand-off says so.
         let mut stats = ExploreStats {
             threads: 4,
             expanded: 100,
-            parallel_levels: 0,
             ..ExploreStats::default()
         };
-        assert!(stats.underparallelized());
-        assert!(stats.summary().contains("below parallel threshold"));
+        assert!(!stats.work_stealing());
+        assert!(!stats.summary().contains("work-stealing"));
+        assert_eq!(stats.to_json().get("recruit"), Some(&Json::Null));
 
-        stats.parallel_levels = 2;
-        assert!(!stats.underparallelized());
-        assert!(!stats.summary().contains("below parallel threshold"));
+        stats.recruit = Some(Recruit {
+            level: 3,
+            at: Duration::from_millis(6),
+            helpers: 3,
+            rerun: false,
+        });
+        assert!(stats.work_stealing());
+        assert!(stats.summary().contains("3 helpers from level 3"));
+        let recruit = stats.to_json();
+        let recruit = recruit.get("recruit").expect("recruit object");
+        assert_eq!(recruit.get("level"), Some(&Json::Int(3)));
+        assert_eq!(recruit.get("at_us"), Some(&Json::Int(6000)));
+        assert_eq!(recruit.get("helpers"), Some(&Json::Int(3)));
 
-        // A single-threaded run is sequential by request, not silently.
-        stats.threads = 1;
-        stats.parallel_levels = 0;
-        assert!(!stats.underparallelized());
-
-        // Work-stealing runs have no levels to parallelize: the flag does
-        // not apply to them.
-        stats.threads = 4;
-        stats.work_stealing = true;
-        assert!(!stats.underparallelized());
+        stats.recruit = Some(Recruit {
+            rerun: true,
+            ..stats.recruit.expect("set above")
+        });
+        assert!(!stats.work_stealing(), "a rerun graph is sequential");
+        assert!(stats.summary().contains("rerun sequentially"));
     }
 
     #[test]
     fn work_stealing_counters_flow_into_json_and_summary() {
         let stats = ExploreStats {
-            work_stealing: true,
+            recruit: Some(Recruit::default()),
             steals: 12,
             steal_fails: 3,
             local_hits: 250,
@@ -583,10 +602,7 @@ mod tests {
         };
         assert!(stats.summary().contains("work-stealing"));
         let doc = stats.to_json();
-        assert_eq!(
-            doc.get("frontier").and_then(Json::as_str),
-            Some("work-stealing")
-        );
+        assert!(doc.get("recruit").and_then(|r| r.get("level")).is_some());
         assert_eq!(doc.get("steals"), Some(&Json::Int(12)));
         assert_eq!(doc.get("steal_fails"), Some(&Json::Int(3)));
         assert_eq!(doc.get("local_hits"), Some(&Json::Int(250)));
@@ -595,17 +611,12 @@ mod tests {
         assert_eq!(doc.get("index_batch_hits"), Some(&Json::Int(5)));
         assert_eq!(doc.get("canon_patches"), Some(&Json::Int(40)));
         assert_eq!(doc.get("canon_full"), Some(&Json::Int(2)));
-        let level_sync = ExploreStats::default().to_json();
-        assert_eq!(
-            level_sync.get("frontier").and_then(Json::as_str),
-            Some("level-sync")
-        );
     }
 
     #[test]
     fn worker_stats_flow_into_json_with_imbalance() {
         let stats = ExploreStats {
-            work_stealing: true,
+            recruit: Some(Recruit::default()),
             workers: vec![
                 WorkerStats {
                     worker: 0,
@@ -640,7 +651,8 @@ mod tests {
         assert_eq!(workers[0].get("idle_us"), Some(&Json::Int(120)));
         assert_eq!(workers[1].get("steal_fails"), Some(&Json::Int(1)));
         assert!(doc.get("worker_imbalance").is_some());
-        // Level-sync runs have no per-worker breakdown and omit the keys.
+        // Runs that never recruited have no per-worker breakdown and omit
+        // the keys.
         let plain = ExploreStats::default();
         assert_eq!(plain.worker_imbalance(), 1.0);
         assert!(plain.to_json().get("workers").is_none());
@@ -661,7 +673,7 @@ mod tests {
         assert!(hist.get("level_expand").is_some());
         assert!(hist.get("steal").is_some());
         assert!(
-            hist.get("level_merge").is_none(),
+            hist.get("canonicalize").is_none(),
             "untouched histograms are omitted"
         );
         assert_eq!(

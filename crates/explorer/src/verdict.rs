@@ -826,7 +826,7 @@ fn sampled_schedule<P: Protocol>(
 impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// Consumes the builder and checks k-set agreement under the
     /// configured [`Strategy`]: exhaustive exploration (respecting every
-    /// builder knob — limits, threads, frontier, symmetry, tracer) by
+    /// builder knob — limits, threads, symmetry, tracer) by
     /// default, or a seeded sampling sweep after
     /// [`Exploration::sample`]. Either way the verdict's violations carry
     /// replayable, minimized witnesses.
@@ -957,8 +957,8 @@ pub fn verdict_dac<P: Protocol>(
 
 /// Checks the four n-DAC properties over an already-built graph, returning
 /// a verdict with a minimized witness on violation. Use this to check a
-/// graph explored under non-default options — e.g. the work-stealing
-/// frontier, whose verdicts must match the deterministic engine's.
+/// graph explored under non-default options — e.g. a run that recruited
+/// the work-stealing pool, whose graph is the sequential one.
 #[must_use]
 pub fn verdict_dac_graph<P: Protocol>(
     explorer: &Explorer<'_, P>,

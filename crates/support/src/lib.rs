@@ -24,7 +24,7 @@
 //!   phases, replacing `tracing` + `tracing-subscriber` + a metrics crate;
 //! * [`deque`] — a lock-free Chase–Lev work-stealing deque (single-owner
 //!   LIFO end, CAS-steal FIFO end, steal-half batching) replacing
-//!   `crossbeam-deque` for the explorer's work-stealing frontier;
+//!   `crossbeam-deque` for the explorer's work-stealing pool;
 //! * [`memtrack`] (feature `mem-profile`) — a tracking global allocator
 //!   reporting live/peak heap bytes, replacing `dhat`-style heap profiling
 //!   for the memory-accounting gauges.

@@ -16,6 +16,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> repository benchmark's own tests (repro_bench)"
+python3 -m unittest discover -s repro_bench -p 'test_*.py'
+
 echo "==> report smoke (exp_t2_dac at n = 2, schema- and trace-validated)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
