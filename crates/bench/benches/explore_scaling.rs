@@ -7,21 +7,20 @@
 //! auto-resolved thread count, and once with symmetry reduction (the
 //! non-distinguished processes share the input 0, so the instance is
 //! symmetric under S_{n-1}); the `t2_dac/5/...` pair measures the same
-//! raw-vs-reduced split at n = 5, and `t2_dac/6/...` adds the regime
-//! incremental canonicalization is for: the `seq`/`par` pair gates that
-//! the default multi-threaded run (which recruits work-stealing helpers
-//! only when its measured cost pays for them) never loses to one thread,
-//! the `pool` row times the work-stealing pool recruited at the root
-//! (`force_parallel`), and the `reduced` row gates that orbit reduction
-//! *wins wall clock* against raw exploration. The `kset/9/...` rows
-//! measure the same seq/par/pool split on a large k-set-agreement instance
-//! (≥ 10⁵ raw configurations), and `dac_sym/8/...` the seq/par split where
-//! recruiting pays: Algorithm 2 at n = 8 under symmetry reduction, whose
-//! orbit canonicalization is compute-bound. Besides the usual per-group
-//! JSON report, this bench writes `BENCH_explore.json` at the repository
-//! root recording configs/sec for the engines, the parallel speedups, the
-//! orbit-reduction ratios, and the steal/canonicalization counters, so the
-//! perf trajectory is tracked in-tree.
+//! raw-vs-reduced split at n = 5, and `t2_dac/6/...` adds the regime the
+//! work-stealing pool and incremental canonicalization are for: the
+//! `seq`/`ws` pair gates the pool recruited at the root (`force_parallel`)
+//! against one thread, and the `reduced` row gates that orbit reduction
+//! *wins wall clock* against raw exploration. The `kset/9/...` pair
+//! measures the same seq-vs-pool split on a large k-set-agreement instance
+//! (≥ 10⁵ raw configurations), and `dac_sym/8/...` the default run against
+//! one thread where the engine's cost gate recruits on its own: Algorithm 2
+//! at n = 8 under symmetry reduction, whose orbit canonicalization is
+//! compute-bound. Besides the usual per-group JSON report, this bench
+//! writes `BENCH_explore.json` at the repository root recording
+//! configs/sec for the engines, the parallel speedups, the orbit-reduction
+//! ratios, and the steal/canonicalization counters, so the perf trajectory
+//! is tracked in-tree.
 
 use lbsa_bench::{distinct_inputs, mixed_binary_inputs};
 use lbsa_core::value::int;
@@ -171,16 +170,15 @@ fn bench_explore(c: &mut Criterion) {
         });
     });
 
-    // n = 6: the committed workload where the default multi-threaded run
-    // must not lose to one thread and the incremental canonicalization must
-    // *win* (see `perf_smoke`).
+    // n = 6: the committed workload where the work-stealing pool and the
+    // incremental canonicalization must both *win* (see `perf_smoke`).
     let p6 = DacFromPac::new(mixed_binary_inputs(6), Pid(0), ObjId(0)).unwrap();
     let objects6 = vec![AnyObject::pac(6).unwrap()];
     let explorer6 = Explorer::new(&p6, &objects6);
     bench_pair(
         &mut group,
         "t2_dac/6/seq",
-        &format!("t2_dac/6/par{threads}"),
+        &format!("t2_dac/6/ws{threads}"),
         || {
             explorer6
                 .exploration()
@@ -190,14 +188,16 @@ fn bench_explore(c: &mut Criterion) {
                 .configs
                 .len()
         },
-        || explorer6.exploration().run().unwrap().configs.len(),
+        || {
+            explorer6
+                .exploration()
+                .force_parallel()
+                .run()
+                .unwrap()
+                .configs
+                .len()
+        },
     );
-    group.bench_function(format!("t2_dac/6/pool{threads}"), |b| {
-        b.iter(|| {
-            let g = explorer6.exploration().force_parallel().run().unwrap();
-            black_box(g.configs.len())
-        });
-    });
     group.bench_function("t2_dac/6/reduced", |b| {
         b.iter(|| {
             let g = explorer6
@@ -220,7 +220,7 @@ fn bench_explore(c: &mut Criterion) {
     bench_pair(
         &mut group,
         &format!("kset/{KSET_N}/seq"),
-        &format!("kset/{KSET_N}/par{threads}"),
+        &format!("kset/{KSET_N}/ws{threads}"),
         || {
             explorerk
                 .exploration()
@@ -230,36 +230,46 @@ fn bench_explore(c: &mut Criterion) {
                 .configs
                 .len()
         },
-        || explorerk.exploration().run().unwrap().configs.len(),
+        || {
+            explorerk
+                .exploration()
+                .force_parallel()
+                .run()
+                .unwrap()
+                .configs
+                .len()
+        },
     );
-    group.bench_function(format!("kset/{KSET_N}/pool{threads}"), |b| {
-        b.iter(|| {
-            let g = explorerk.exploration().force_parallel().run().unwrap();
-            black_box(g.configs.len())
-        });
-    });
-    // Where recruiting pays: the symmetric Algorithm 2 instance at n = 8
-    // (339 orbits), whose per-node cost is orbit canonicalization.
+    // Where the cost gate recruits on its own: the symmetric Algorithm 2
+    // instance at n = 8 (339 orbits), whose per-node cost is orbit
+    // canonicalization.
     let p8 = DacFromPac::new(mixed_binary_inputs(DAC_SYM_N), Pid(0), ObjId(0)).unwrap();
     let objects8 = vec![AnyObject::pac(DAC_SYM_N).unwrap()];
     let explorer8 = Explorer::new(&p8, &objects8);
-    group.bench_function(format!("dac_sym/{DAC_SYM_N}/seq"), |b| {
-        b.iter(|| {
-            let g = explorer8
+    bench_pair(
+        &mut group,
+        &format!("dac_sym/{DAC_SYM_N}/seq"),
+        &format!("dac_sym/{DAC_SYM_N}/par{threads}"),
+        || {
+            explorer8
                 .exploration()
                 .symmetric()
                 .threads(1)
                 .run()
-                .unwrap();
-            black_box(g.configs.len())
-        });
-    });
-    group.bench_function(format!("dac_sym/{DAC_SYM_N}/par{threads}"), |b| {
-        b.iter(|| {
-            let g = explorer8.exploration().symmetric().run().unwrap();
-            black_box(g.configs.len())
-        });
-    });
+                .unwrap()
+                .configs
+                .len()
+        },
+        || {
+            explorer8
+                .exploration()
+                .symmetric()
+                .run()
+                .unwrap()
+                .configs
+                .len()
+        },
+    );
     // Sampling-engine throughput: the F8 vote-propagation workload at
     // n = 10, one worker (per-run cost, not parallel scaling — the
     // thread-independence contract is covered by tests).
@@ -334,12 +344,11 @@ fn round2(x: f64) -> f64 {
 /// raw-vs-reduced config counts and reduction ratios at n = 4, 5, and 6
 /// (the n = 4 group is only S_3, so its ratio is Burnside-capped at 6;
 /// n = 5 is where the ≥ 5× reduction target is met). The n = 6 and
-/// `kset` blocks additionally record the default run's and the
-/// root-recruited pool's speedups over one thread, the pool's steal
-/// counters, and the incremental canonicalization split (patches vs full
-/// recomputations), plus `effective_cores` so the gates can scale
-/// expectations to the host; `dac_sym` records the speedup where
-/// recruiting pays.
+/// `kset` blocks additionally record the root-recruited pool's speedup
+/// over one thread, its steal counters, and the incremental
+/// canonicalization split (patches vs full recomputations), plus
+/// `effective_cores` so the gates can scale expectations to the host;
+/// `dac_sym` records the default run's speedup where the gate recruits.
 ///
 /// The n = 4 graph is small enough (275 configs) that per-run setup
 /// compresses the measured engine-vs-baseline ratio and couples it to the
@@ -379,20 +388,18 @@ fn write_speedup_report(
     ) else {
         return;
     };
-    let (Some(seq6_t), Some(par6_t), Some(pool6_t), Some(reduced6_t)) = (
+    let (Some(seq6_t), Some(ws6_t), Some(reduced6_t)) = (
         pair_times(c, "t2_dac/6/seq"),
-        pair_times(c, &format!("t2_dac/6/par{threads}")),
-        times(&format!("t2_dac/6/pool{threads}")),
+        pair_times(c, &format!("t2_dac/6/ws{threads}")),
         times("t2_dac/6/reduced"),
     ) else {
         return;
     };
-    let (Some(kseq_t), Some(kpar_t), Some(kpool_t), Some(dseq_t), Some(dpar_t)) = (
+    let (Some(kseq_t), Some(kws_t), Some(dseq_t), Some(dpar_t)) = (
         pair_times(c, &format!("kset/{KSET_N}/seq")),
-        pair_times(c, &format!("kset/{KSET_N}/par{threads}")),
-        times(&format!("kset/{KSET_N}/pool{threads}")),
-        times(&format!("dac_sym/{DAC_SYM_N}/seq")),
-        times(&format!("dac_sym/{DAC_SYM_N}/par{threads}")),
+        pair_times(c, &format!("kset/{KSET_N}/ws{threads}")),
+        pair_times(c, &format!("dac_sym/{DAC_SYM_N}/seq")),
+        pair_times(c, &format!("dac_sym/{DAC_SYM_N}/par{threads}")),
     ) else {
         return;
     };
@@ -404,12 +411,10 @@ fn write_speedup_report(
     let (raw5_min, raw5_ns) = raw5_t;
     let (reduced5_min, reduced5_ns) = reduced5_t;
     let (seq6_min, seq6_ns) = seq6_t;
-    let (par6_min, par6_ns) = par6_t;
-    let (pool6_min, pool6_ns) = pool6_t;
+    let (ws6_min, ws6_ns) = ws6_t;
     let (reduced6_min, reduced6_ns) = reduced6_t;
     let (kseq_min, kseq_ns) = kseq_t;
-    let (kpar_min, kpar_ns) = kpar_t;
-    let (kpool_min, kpool_ns) = kpool_t;
+    let (kws_min, kws_ns) = kws_t;
     let (dseq_min, dseq_ns) = dseq_t;
     let (dpar_min, dpar_ns) = dpar_t;
     let g = explorer.exploration().run().unwrap();
@@ -482,15 +487,12 @@ fn write_speedup_report(
         .set("n6_raw_configs", raw6.configs.len())
         .set("n6_reduced_configs", reduced6.configs.len())
         .set("n6_seq_min_ns", seq6_min.round())
-        .set("n6_par_min_ns", par6_min.round())
-        .set("n6_pool_min_ns", pool6_min.round())
+        .set("n6_ws_min_ns", ws6_min.round())
         .set("n6_reduced_min_ns", reduced6_min.round())
         .set("n6_seq_median_ns", seq6_ns.round())
-        .set("n6_par_median_ns", par6_ns.round())
-        .set("n6_pool_median_ns", pool6_ns.round())
+        .set("n6_ws_median_ns", ws6_ns.round())
         .set("n6_reduced_median_ns", reduced6_ns.round())
-        .set("n6_speedup_par_vs_seq", round2(seq6_min / par6_min))
-        .set("n6_speedup_pool_vs_seq", round2(seq6_min / pool6_min))
+        .set("n6_speedup_par_vs_seq", round2(seq6_min / ws6_min))
         .set(
             "n6_reduction_ratio",
             ratio(raw6.configs.len(), reduced6.configs.len()),
@@ -501,7 +503,6 @@ fn write_speedup_report(
         .set("n6_ws_local_hits", ws6.stats.local_hits)
         .set("n6_ws_park_count", ws6.stats.park_count)
         .set("n6_ws_deque_grows", ws6.stats.deque_grows)
-        .set("n6_ws_index_batch_hits", ws6.stats.index_batch_hits)
         // Level-expand latency quantiles from the always-on histograms of
         // the sequential n = 6 run (octave resolution — see HistogramNs).
         // They ride into `BENCH_history.jsonl` via perf_smoke, giving the
@@ -528,19 +529,15 @@ fn write_speedup_report(
         .set("kset_n", KSET_N)
         .set("kset_raw_configs", ksetg.configs.len())
         .set("kset_seq_min_ns", kseq_min.round())
-        .set("kset_par_min_ns", kpar_min.round())
-        .set("kset_pool_min_ns", kpool_min.round())
+        .set("kset_ws_min_ns", kws_min.round())
         .set("kset_seq_median_ns", kseq_ns.round())
-        .set("kset_par_median_ns", kpar_ns.round())
-        .set("kset_pool_median_ns", kpool_ns.round())
-        .set("kset_speedup_par_vs_seq", round2(kseq_min / kpar_min))
-        .set("kset_speedup_pool_vs_seq", round2(kseq_min / kpool_min))
+        .set("kset_ws_median_ns", kws_ns.round())
+        .set("kset_speedup_par_vs_seq", round2(kseq_min / kws_min))
         .set("kset_ws_steals", ksetg.stats.steals)
         .set("kset_ws_steal_fails", ksetg.stats.steal_fails)
         .set("kset_ws_local_hits", ksetg.stats.local_hits)
         .set("kset_ws_park_count", ksetg.stats.park_count)
         .set("kset_ws_deque_grows", ksetg.stats.deque_grows)
-        .set("kset_ws_index_batch_hits", ksetg.stats.index_batch_hits)
         .set("dac_sym_n", DAC_SYM_N)
         .set("dac_sym_seq_min_ns", dseq_min.round())
         .set("dac_sym_par_min_ns", dpar_min.round())
@@ -569,16 +566,14 @@ fn write_speedup_report(
             baseline5_min / raw5_min
         );
         println!(
-            "T2 n=6 default vs seq: {:.2}x (pool at the root: {:.2}x); reduced vs raw wall clock: {:.2}x",
-            seq6_min / par6_min,
-            seq6_min / pool6_min,
+            "T2 n=6 work-stealing vs seq: {:.2}x; reduced vs raw wall clock: {:.2}x",
+            seq6_min / ws6_min,
             reduced6_min / seq6_min,
         );
         println!(
-            "kset n={KSET_N} ({} configs) default vs seq: {:.2}x (pool at the root: {:.2}x)",
+            "kset n={KSET_N} ({} configs) work-stealing vs seq: {:.2}x",
             ksetg.configs.len(),
-            kseq_min / kpar_min,
-            kseq_min / kpool_min,
+            kseq_min / kws_min,
         );
         println!(
             "symmetric T2 n={DAC_SYM_N} default vs seq: {:.2}x",

@@ -216,7 +216,7 @@ fn analyze_trace(path: &Path, events: &[Json]) -> Json {
     }
     let levels = level_rows(events);
     if !levels.is_empty() {
-        doc = doc.set("levels", level_analysis(&levels, threads));
+        doc = doc.set("levels", level_analysis(&levels, begin));
         if workers.is_empty() {
             doc = doc.set("critical_path", level_critical_path(&levels));
         }
@@ -381,17 +381,17 @@ fn level_rows(events: &[Json]) -> Vec<Json> {
         .collect()
 }
 
-/// Per-node cost (µs) from which a level is worth sharing: the engine's
-/// own recruitment gate opens for nodes this expensive (see
-/// `lbsa_explorer::explore`).
-const SHAREABLE_NODE_US: i64 = 50;
-
 /// Level analysis: how many levels the calling thread expanded and how
 /// many the pool did, the widest level, and the underparallelized levels —
-/// sequential levels of a multi-thread run whose nodes cost enough each to
-/// share, i.e. work the calling thread did alone before (or without)
-/// recruiting its helpers.
-fn level_analysis(levels: &[Json], threads: i64) -> Json {
+/// sequential levels of a run that may recruit whose nodes cost what the
+/// engine's recruitment gate asks for sharing them (`pool_workers` and
+/// `recruit_node_ns` of the `explore.begin` event), i.e. work the calling
+/// thread did alone before (or without) recruiting its helpers.
+fn level_analysis(levels: &[Json], begin: Option<&Json>) -> Json {
+    let workers = begin
+        .and_then(|e| field_i64(e, "pool_workers"))
+        .unwrap_or(1);
+    let node_ns = begin.and_then(|e| field_i64(e, "recruit_node_ns"));
     let count = levels.len();
     let is_pooled = |l: &Json| l.get("pooled").and_then(Json::as_bool) == Some(true);
     let pooled = levels.iter().filter(|l| is_pooled(l)).count();
@@ -408,7 +408,8 @@ fn level_analysis(levels: &[Json], threads: i64) -> Json {
     for l in levels.iter().filter(|l| !is_pooled(l)) {
         let width = field_i64(l, "width").unwrap_or(0).max(1);
         let elapsed = field_i64(l, "elapsed_us").unwrap_or(0);
-        if threads > 1 && width >= threads && elapsed >= SHAREABLE_NODE_US * width {
+        let shareable = node_ns.is_some_and(|ns| elapsed * 1_000 >= ns * width);
+        if workers > 1 && width >= workers && shareable {
             under.push(
                 Json::object()
                     .set("level", field_i64(l, "level").unwrap_or(-1))
@@ -928,12 +929,15 @@ mod tests {
             ev(r#"{"event":"level","level":0,"width":1,"elapsed_us":500,"pooled":false}"#),
             // Wide and costly per node (60us), yet sequential: flagged.
             ev(r#"{"event":"level","level":1,"width":64,"elapsed_us":3840,"pooled":false}"#),
-            // Wide but cheap per node (1us): the gate is right to keep it.
-            ev(r#"{"event":"level","level":2,"width":64,"elapsed_us":64,"pooled":false}"#),
+            // Wide but cheaper per node (10us) than the gate's bar: the
+            // gate is right to keep it.
+            ev(r#"{"event":"level","level":2,"width":64,"elapsed_us":640,"pooled":false}"#),
             // Expanded by the pool.
             ev(r#"{"event":"level","level":3,"width":64,"elapsed_us":0,"pooled":true}"#),
         ];
-        let analysis = level_analysis(&levels, 4);
+        let begin =
+            ev(r#"{"event":"explore.begin","threads":4,"pool_workers":4,"recruit_node_ns":16666}"#);
+        let analysis = level_analysis(&levels, Some(&begin));
         let under = analysis
             .get("underparallelized")
             .and_then(Json::as_arr)
@@ -942,13 +946,17 @@ mod tests {
         assert_eq!(field_i64(&under[0], "level"), Some(1));
         assert_eq!(field_i64(&under[0], "us_per_node"), Some(60));
         assert_eq!(analysis.get("pooled").and_then(Json::as_i64), Some(1));
-        // Single-threaded runs are sequential by request, not a pathology.
-        let single = level_analysis(&levels, 1);
-        assert!(single
-            .get("underparallelized")
-            .and_then(Json::as_arr)
-            .expect("list")
-            .is_empty());
+        // Runs that cannot recruit (one thread, or one core) are sequential
+        // by request, not a pathology.
+        let single =
+            ev(r#"{"event":"explore.begin","threads":4,"pool_workers":1,"recruit_node_ns":50000}"#);
+        for begin in [Some(&single), None] {
+            assert!(level_analysis(&levels, begin)
+                .get("underparallelized")
+                .and_then(Json::as_arr)
+                .expect("list")
+                .is_empty());
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::checker::Violation;
 use lbsa_explorer::verdict::{verdict_dac_graph, verdict_k_set_agreement_graph, Outcome};
-use lbsa_explorer::{Exploration, ExplorationGraph, Explorer, Limits};
+use lbsa_explorer::{Exploration, ExplorationGraph, Explorer, Limits, MemorySink, Tracer};
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_runtime::process::{Protocol, Step, Symmetry};
 use lbsa_support::check::run_cases;
@@ -186,6 +186,48 @@ fn forced_hand_off_over_budget_falls_back_to_the_sequential_engine() {
     );
     assert_same_graph(&sequential, &forced, "forced hand-off over budget");
     assert_eq!(forced.stats.expanded, budget);
+
+    // Under symmetry reduction, the run-scoped accounting describes the
+    // rerun alone: every transition is canonicalized once (a patch or a
+    // full pass), exactly as in the sequential run, and the abandoned
+    // pool leaves nothing in the counters or histograms.
+    let p = DacFromPac::new(lbsa_bench::mixed_binary_inputs(5), Pid(0), ObjId(0)).unwrap();
+    let objects = vec![AnyObject::pac(5).unwrap()];
+    let explorer = Explorer::new(&p, &objects);
+    let budget = 60;
+    let sequential = explorer
+        .exploration()
+        .symmetric()
+        .max_configs(budget)
+        .threads(1)
+        .run()
+        .unwrap();
+    // Traced, so the abandoned pool's per-task histogram would show.
+    let forced = explorer
+        .exploration()
+        .symmetric()
+        .max_configs(budget)
+        .threads(2)
+        .force_parallel()
+        .trace(Tracer::new(MemorySink::new()))
+        .run()
+        .unwrap();
+    assert!(forced.stats.recruit.expect("recruited").rerun);
+    assert_same_graph(&sequential, &forced, "symmetric hand-off over budget");
+    let (s, f) = (&sequential.stats, &forced.stats);
+    assert_eq!(
+        f.canon_patches + f.canon_full,
+        f.transitions as u64,
+        "one canonicalization per transition"
+    );
+    assert_eq!(
+        (f.canon_calls, f.canon_patches, f.canon_full),
+        (s.canon_calls, s.canon_patches, s.canon_full),
+        "canonicalization counters of the rerun only"
+    );
+    assert_eq!(f.hist.level_expand.count(), f.levels.len() as u64);
+    assert!(f.hist.task_expand.is_empty() && f.hist.steal.is_empty());
+    assert!(!f.hist.canonicalize.is_empty());
 }
 
 #[test]

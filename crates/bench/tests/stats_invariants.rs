@@ -45,11 +45,16 @@ fn assert_invariants(stats: &ExploreStats, what: &str) {
     }
     if let Some(recruit) = stats.recruit {
         assert!(recruit.level <= stats.levels.len(), "{what}: recruit level");
-        assert_eq!(recruit.helpers + 1, stats.threads, "{what}: helper count");
+        // The natural gate caps the pool at the machine's cores; a
+        // forced hand-off takes every thread it is given.
+        assert!(
+            (1..stats.threads).contains(&recruit.helpers),
+            "{what}: helper count"
+        );
         if stats.work_stealing() {
             assert_eq!(
                 stats.workers.len(),
-                stats.threads,
+                recruit.helpers + 1,
                 "{what}: one row per worker"
             );
             let pooled: usize = stats.levels[recruit.level..].iter().map(|l| l.width).sum();
@@ -95,7 +100,8 @@ fn all_runs<'e, 'a: 'e, P: Protocol + 'a>(
                 &format!("{what}, {threads} threads, forced {forced}"),
             );
             if forced && threads > 1 {
-                assert!(g.stats.recruit.is_some(), "{what}: forced runs recruit");
+                let recruit = g.stats.recruit.expect("forced runs recruit");
+                assert_eq!(recruit.helpers, threads - 1, "{what}: forced helper count");
             }
             graphs.push(g);
         }

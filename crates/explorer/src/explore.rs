@@ -26,10 +26,12 @@
 //! dedup index and merged on the spot, so node indices are assigned in
 //! FIFO order. This is the reference every other execution must match.
 //!
-//! When more than one thread is allowed ([`ExploreOptions::threads`]), the
-//! run has already spent a fixed multiple of the helper pool's spawn/join
-//! cost, and its nodes cost enough each to repay the pool's per-node
-//! overhead, the engine **recruits** helpers at the next level boundary:
+//! When more than one thread is allowed ([`ExploreOptions::threads`]) and
+//! the machine has more than one core, the run has already spent a fixed
+//! multiple of the helper pool's spawn/join cost, and its nodes cost
+//! enough each to repay the pool's per-node overhead (a bar that falls as
+//! the helper count grows), the engine **recruits** helpers at the next
+//! level boundary:
 //! the remaining frontier is handed to a work-stealing pool (per-worker
 //! Chase–Lev deques, DESIGN.md §12) that shares the run's index, interners
 //! and memos as they are. Small graphs finish before the gate opens and
@@ -144,16 +146,18 @@ pub struct ExploreOptions {
     /// `LBSA_EXPLORE_THREADS` environment variable if set, otherwise every
     /// core the machine offers (optionally capped by
     /// `LBSA_EXPLORE_MAX_THREADS`). `1` keeps the run on the calling
-    /// thread. Above one, the engine recruits `threads - 1` work-stealing
-    /// helpers once the run's measured cost makes them worth their
-    /// spawn/join cost (see the module docs). The thread count never
-    /// affects the resulting graph, only how fast it is built.
+    /// thread. Above one, the engine recruits work-stealing helpers — one
+    /// fewer than `threads` or than the machine's cores, whichever is
+    /// smaller — once the run's measured cost makes them worth their
+    /// spawn/join and per-node cost (see the module docs). The thread count
+    /// never affects the resulting graph, only how fast it is built.
     pub threads: usize,
     /// Recruit the helpers at the root instead of waiting for the cost
     /// gate: a multi-threaded run then explores its whole graph on the
-    /// work-stealing pool. For tests pinning the hand-off and for
-    /// benchmarking the pool itself; production runs should leave this off.
-    /// Ignored when the run resolves to one thread.
+    /// work-stealing pool of exactly `threads` workers, even beyond the
+    /// machine's cores. For tests pinning the hand-off and for benchmarking
+    /// the pool itself; production runs should leave this off. Ignored
+    /// when the run resolves to one thread.
     pub force_parallel: bool,
 }
 
@@ -187,8 +191,9 @@ impl ExploreOptions {
     ///
     /// `0` resolves to `LBSA_EXPLORE_THREADS` if set, otherwise all
     /// available cores, capped by `LBSA_EXPLORE_MAX_THREADS` when that is
-    /// set. No other cap applies: the cost gate already keeps runs that
-    /// cannot pay for helpers on the calling thread.
+    /// set. The recruitment gate further caps the pool at the machine's
+    /// cores (see [`ExploreOptions::threads`]); this count is what the run
+    /// reports as `threads`.
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
         if self.threads != 0 {
@@ -240,36 +245,68 @@ const SPAWN_JOIN_COST: Duration = Duration::from_micros(50);
 /// finish sooner than the pool would pay for itself.
 const RECRUIT_MULTIPLE: u32 = 100;
 
-/// The least a node of *every* level so far must have cost for the pool
-/// to repay its per-node overhead: the pool's own bookkeeping plus
+/// The least a node of *every* level so far must have cost for one helper
+/// to repay the pool's per-node overhead: its own bookkeeping plus
 /// assembly and canonical renumbering, about half a microsecond per node
 /// on raw graphs. Raw exploration is memory-bound at one to two
 /// microseconds per node (up to ~25 on its first levels, while the memos
-/// warm up), so a second core adds little to it (about 25% for two copies
-/// of the 236k-config k-set run on a 2-core Xeon host) and the pool loses;
-/// orbit canonicalization at hundreds of microseconds per node is
-/// compute-bound and nearly doubles.
+/// warm up) and allocation-heavy: on a 2-core Xeon host, two copies of
+/// the 236k-config k-set run in two threads of one process get only
+/// 1.25–1.4× the throughput of one (glibc's per-thread arenas trim and
+/// fault their pages back in; two processes get up to 2×), and the pool
+/// loses. Orbit canonicalization at hundreds of microseconds per node is
+/// compute-bound and nearly doubles. Measured with one helper only; see
+/// [`RecruitGate::new`] for more.
 const POOL_NODE_COST: Duration = Duration::from_micros(50);
 
-/// The run time after which a run allowed `threads` threads may recruit
-/// its `threads - 1` helpers.
-fn recruit_threshold(threads: usize) -> Duration {
-    let helpers = u32::try_from(threads.saturating_sub(1)).unwrap_or(u32::MAX);
-    SPAWN_JOIN_COST.saturating_mul(RECRUIT_MULTIPLE.saturating_mul(helpers))
+/// When a run recruits its work-stealing helpers, fixed when it starts.
+#[derive(Clone, Copy, Debug)]
+struct RecruitGate {
+    /// Pool size once recruited: the calling thread plus its helpers.
+    /// `1` means the run never recruits.
+    workers: usize,
+    /// Run time the run must have spent before recruiting: the pool's
+    /// spawn/join cost times [`RECRUIT_MULTIPLE`].
+    after: Duration,
+    /// Cost per node every completed level must have reached.
+    node_cost: Duration,
 }
 
-/// The recruitment gate, checked at each level boundary: the run has
-/// already cost enough to pay for spawning the pool (`elapsed` past
-/// `threshold`), and each of its (at least two) completed levels cost
-/// enough per node to pay for the pool's per-node overhead. Judging every
-/// level rather than the average keeps one stalled level — a page-fault
-/// storm, the allocator consolidating a large freed graph, a preempted
-/// thread — from passing for expensive nodes.
-fn gate_open(elapsed: Duration, levels: &[LevelStats], threshold: Duration) -> bool {
-    let costly = |l: &LevelStats| {
-        u32::try_from(l.width).is_ok_and(|w| l.elapsed >= POOL_NODE_COST.saturating_mul(w))
-    };
-    levels.len() >= 2 && elapsed >= threshold && levels.iter().all(costly)
+impl RecruitGate {
+    /// The gate of a run allowed `threads` threads. The pool never holds
+    /// more workers than the machine has cores: helpers beyond them would
+    /// time-slice with the calling thread and only add overhead. The
+    /// per-node bar falls in proportion to the helper count, since the
+    /// gain on a costly node grows with the helpers and the per-node
+    /// overhead does not. `force` (see [`ExploreOptions::force_parallel`])
+    /// pins `threads` workers whatever the cores.
+    fn new(threads: usize, force: bool) -> Self {
+        let workers = if force {
+            threads
+        } else {
+            threads.min(available_cores())
+        };
+        let helpers = u32::try_from(workers.saturating_sub(1)).unwrap_or(u32::MAX);
+        RecruitGate {
+            workers,
+            after: SPAWN_JOIN_COST.saturating_mul(RECRUIT_MULTIPLE.saturating_mul(helpers)),
+            node_cost: POOL_NODE_COST / helpers.max(1),
+        }
+    }
+
+    /// Checked at each level boundary: the run has already cost enough to
+    /// pay for spawning the pool, and each of its (at least two) completed
+    /// levels cost enough per node to pay for the pool's per-node
+    /// overhead. Judging every level rather than the average keeps one
+    /// stalled level — a page-fault storm, the allocator consolidating a
+    /// large freed graph, a preempted thread — from passing for expensive
+    /// nodes.
+    fn open(&self, elapsed: Duration, levels: &[LevelStats]) -> bool {
+        let costly = |l: &LevelStats| {
+            u32::try_from(l.width).is_ok_and(|w| l.elapsed >= self.node_cost.saturating_mul(w))
+        };
+        levels.len() >= 2 && elapsed >= self.after && levels.iter().all(costly)
+    }
 }
 
 /// One labelled edge of the execution graph.
@@ -643,32 +680,6 @@ const WS_PARK: Duration = Duration::from_micros(100);
 /// Upper bound on tasks transferred by one batched steal.
 const WS_STEAL_MAX: usize = 32;
 
-/// One pre-probe *miss* of phase A, patched in place by phase B. Successors
-/// whose pre-probe hit emit their edge directly in phase A and leave no
-/// record at all — only misses (one per fresh configuration, a small
-/// minority once dedup saturates) carry state between the phases. `edge`
-/// indexes this worker's edge pool; the batched
-/// [`ConcurrentIndex::get_or_insert_batch`] round supplies its target, and
-/// an insert win obliges this worker to materialize the configuration.
-/// Fixups and batch keys are pushed in lockstep, so the `i`-th fixup reads
-/// the `i`-th batch result.
-enum WsFixup<L> {
-    /// Raw successor: on an insert win, materialize the config by patching
-    /// the parent at `obj` / the edge's process slot.
-    Raw {
-        edge: u32,
-        obj: u32,
-        succ_state: u32,
-        succ_proc: u32,
-    },
-    /// Canonical successor (symmetry reduction): the orbit representative
-    /// is already materialized (canon memo or fresh canonicalization).
-    Canon {
-        edge: u32,
-        arc: Arc<Configuration<L>>,
-    },
-}
-
 /// What one work-stealing worker hands back at join: the sub-graph it
 /// built and its scheduling counters. Node indices come from the shared
 /// [`ConcurrentIndex`], so the per-worker pieces assemble by index.
@@ -701,8 +712,6 @@ struct WsWorkerOut<L> {
     /// Final estimated footprint of this worker's deque buffers (live +
     /// retired), read at loop exit while the owner end is still in scope.
     deque_bytes: usize,
-    /// Keys resolved to existing nodes by batched index probes.
-    index_batch_hits: u64,
     /// Transition-memo hits served by this worker's private L1 map
     /// without touching the shared sharded memo.
     memo_l1_hits: u64,
@@ -731,7 +740,6 @@ impl<L> Default for WsWorkerOut<L> {
             parked_ns: 0,
             deque_grows: 0,
             deque_bytes: 0,
-            index_batch_hits: 0,
             memo_l1_hits: 0,
             idle_ns: 0,
             busy_ns: 0,
@@ -763,6 +771,33 @@ fn timed_canonicalize<L: Clone>(
             canon
         }
         None => sym.canonicalize_incremental(config),
+    }
+}
+
+/// The run-scoped accounting of one attempt at a run: the symmetry
+/// counters as the attempt found them, and the latency stores it fills.
+struct Accounting {
+    canon_calls: u64,
+    canon_fast: u64,
+    canon_full: u64,
+    /// Per-call canonicalization timing means a clock read per successor,
+    /// so by the overhead policy it runs only under an attached tracer;
+    /// untraced runs report `PhaseTimes::canonicalize == 0`.
+    canon: CanonProbe,
+    /// Per-level latency distributions: the level clocks are read anyway,
+    /// so these are always on.
+    hists: LatencyHistograms,
+}
+
+impl Accounting {
+    fn new<L: Clone>(sym: Option<&ConfigSymmetry<'_, L>>) -> Self {
+        Accounting {
+            canon_calls: sym.map_or(0, ConfigSymmetry::canon_calls),
+            canon_fast: sym.map_or(0, ConfigSymmetry::canon_fast_hits),
+            canon_full: sym.map_or(0, ConfigSymmetry::canon_full_calls),
+            canon: CanonProbe::default(),
+            hists: LatencyHistograms::default(),
+        }
     }
 }
 
@@ -923,7 +958,6 @@ struct WsReport {
     local_hits: u64,
     park_count: u64,
     deque_grows: u64,
-    index_batch_hits: u64,
     memo_l1_hits: u64,
     /// Assembly and canonical renumbering.
     merge: Duration,
@@ -950,10 +984,8 @@ enum Finished<L> {
 /// Everything about one exhaustive run that stays fixed while it runs.
 struct RunCtx<'r, 'p, L> {
     limits: Limits,
-    threads: usize,
     force: bool,
-    /// Run time after which helpers are recruited.
-    recruit_after: Duration,
+    gate: RecruitGate,
     sym: Option<&'r ConfigSymmetry<'p, L>>,
     tracer: &'r Tracer,
     live: Option<&'r LiveMetrics>,
@@ -1198,66 +1230,57 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         if let Some(live) = live {
             live.workers.set_usize(1);
         }
-        let recruit_after = recruit_threshold(threads);
+        let gate = RecruitGate::new(threads, options.force_parallel);
         tracer.emit_with("explore.begin", || {
             Json::object()
                 .set("threads", threads)
                 .set("max_configs", limits.max_configs)
                 .set("force_parallel", options.force_parallel)
                 .set("reduced", sym.is_some())
-                .set("recruit_after_us", duration_us(recruit_after))
+                .set("pool_workers", gate.workers)
+                .set("recruit_after_us", duration_us(gate.after))
+                .set("recruit_node_ns", duration_ns(gate.node_cost))
         });
-        // Per-call canonicalization timing means a clock read per successor,
-        // so by the overhead policy it runs only under an attached tracer;
-        // untraced runs report PhaseTimes::canonicalize == 0.
-        let canon_store = CanonProbe::default();
-        let canon_calls_before = sym.map_or(0, ConfigSymmetry::canon_calls);
-        let canon_fast_before = sym.map_or(0, ConfigSymmetry::canon_fast_hits);
-        let canon_full_before = sym.map_or(0, ConfigSymmetry::canon_full_calls);
-        // Per-level latency distributions: the level clocks are read anyway,
-        // so these are always on.
-        let hists = LatencyHistograms::default();
-        let ctx = RunCtx {
-            limits,
-            threads,
-            force: options.force_parallel,
-            recruit_after,
-            sym,
-            tracer,
-            live,
-            canon_probe: tracer.enabled().then_some(&canon_store),
-            hists: &hists,
-            started,
-        };
-        let (run, complete, ws, recruit) =
-            match self.bfs(initial, &ctx, threads > 1, &mut on_progress, 0)? {
+        // One attempt, or two when a hand-off is abandoned and the run is
+        // redone sequentially. Each attempt starts its run-scoped accounting
+        // afresh, so the stats describe the attempt that built the graph.
+        let mut root = initial;
+        let mut rerun_of: Option<Recruit> = None;
+        let (run, complete, ws, recruit, acct) = loop {
+            let acct = Accounting::new(sym);
+            let ctx = RunCtx {
+                limits,
+                force: options.force_parallel,
+                gate,
+                sym,
+                tracer,
+                live,
+                canon_probe: tracer.enabled().then_some(&acct.canon),
+                hists: &acct.hists,
+                started,
+            };
+            // The rerun's levels before the recruit point were reported
+            // once, by the abandoned attempt, and stay quiet.
+            let quiet = rerun_of.map_or(0, |r| r.level);
+            let may_recruit = gate.workers > 1 && rerun_of.is_none();
+            match self.bfs(root, &ctx, may_recruit, &mut on_progress, quiet)? {
                 Finished::Built { run, complete, ws } => {
-                    let recruit = ws.as_ref().map(|w| w.recruit);
-                    (run, complete, ws, recruit)
+                    let recruit = rerun_of.or_else(|| ws.as_ref().map(|w| w.recruit));
+                    break (run, complete, ws, recruit, acct);
                 }
-                Finished::Rerun { recruit, root } => {
-                    // Live counters already hold the abandoned attempt; the
-                    // rerun's levels before the recruit point were reported
-                    // once and stay quiet.
+                Finished::Rerun { recruit, root: r } => {
+                    // Live counters already hold the abandoned attempt.
                     if let Some(live) = live {
                         live.workers.set_usize(1);
                     }
-                    match self.bfs(root, &ctx, false, &mut on_progress, recruit.level)? {
-                        Finished::Built { run, complete, .. } => (
-                            run,
-                            complete,
-                            None,
-                            Some(Recruit {
-                                rerun: true,
-                                ..recruit
-                            }),
-                        ),
-                        Finished::Rerun { .. } => {
-                            unreachable!("a sequential rerun never recruits")
-                        }
-                    }
+                    root = r;
+                    rerun_of = Some(Recruit {
+                        rerun: true,
+                        ..recruit
+                    });
                 }
-            };
+            }
+        };
 
         let Run {
             state_interner,
@@ -1295,29 +1318,28 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             phases: PhaseTimes {
                 expand,
                 merge: ws.map_or(Duration::ZERO, |w| w.merge),
-                canonicalize: canon_store.timer.total(),
+                canonicalize: acct.canon.timer.total(),
             },
             memo_hits: memo_hits + memo.hits.get() + ws.map_or(0, |w| w.memo_l1_hits),
             memo_misses: memo_misses + memo.misses.get(),
             intern_hits: state_interner.hits() + proc_interner.hits(),
             intern_misses: state_interner.misses() + proc_interner.misses(),
-            canon_calls: sym.map_or(0, ConfigSymmetry::canon_calls) - canon_calls_before,
-            canon_patches: (sym.map_or(0, ConfigSymmetry::canon_fast_hits) - canon_fast_before)
+            canon_calls: sym.map_or(0, ConfigSymmetry::canon_calls) - acct.canon_calls,
+            canon_patches: (sym.map_or(0, ConfigSymmetry::canon_fast_hits) - acct.canon_fast)
                 + canon_memo.hits.get(),
-            canon_full: sym.map_or(0, ConfigSymmetry::canon_full_calls) - canon_full_before,
+            canon_full: sym.map_or(0, ConfigSymmetry::canon_full_calls) - acct.canon_full,
             steals: ws.map_or(0, |w| w.steals),
             steal_fails: ws.map_or(0, |w| w.steal_fails),
             local_hits: ws.map_or(0, |w| w.local_hits),
             park_count: ws.map_or(0, |w| w.park_count),
             deque_grows: ws.map_or(0, |w| w.deque_grows),
-            index_batch_hits: ws.map_or(0, |w| w.index_batch_hits),
             interner_bytes: state_interner.approx_bytes() + proc_interner.approx_bytes(),
             index_bytes: index.approx_bytes(),
             levels,
             workers: ws.map_or_else(Vec::new, |w| w.workers.clone()),
             hist: {
-                hists.canonicalize.merge(&canon_store.hist);
-                hists
+                acct.hists.canonicalize.merge(&acct.canon.hist);
+                acct.hists
             },
         };
         if let Some(live) = live {
@@ -1395,12 +1417,12 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             // budget already cuts stays sequential.
             if may_recruit
                 && take == width
-                && (ctx.force || gate_open(ctx.started.elapsed(), &run.levels, ctx.recruit_after))
+                && (ctx.force || ctx.gate.open(ctx.started.elapsed(), &run.levels))
             {
                 let recruit = Recruit {
                     level: run.levels.len(),
                     at: ctx.started.elapsed(),
-                    helpers: ctx.threads - 1,
+                    helpers: ctx.gate.workers - 1,
                     rerun: false,
                 };
                 let root = run.configs[0].clone();
@@ -1457,8 +1479,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 elapsed,
             };
             run.levels.push(stats);
+            ctx.hists.level_expand.record(elapsed);
             if level >= quiet_levels {
-                ctx.hists.level_expand.record(elapsed);
                 report_level(ctx.tracer, on_progress, &stats, new, false);
             }
             if take < width {
@@ -1628,7 +1650,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     }
 
     /// The work-stealing hand-off: expands everything from `run`'s frontier
-    /// on a pool of `ctx.threads` workers — the calling thread plus the
+    /// on a pool of `ctx.gate.workers` workers — the calling thread plus the
     /// recruited helpers — then assembles the pool's pieces into `run` in
     /// canonical BFS order. Returns `None` when the pool would truncate or
     /// a step failed; the caller then redoes the run sequentially.
@@ -1654,10 +1676,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// half the victim (capped at [`WS_STEAL_MAX`]); on a completely empty
     /// sweep it backs off spin → yield → timed park (see
     /// [`WS_SPIN_ROUNDS`]), which keeps an idle worker's CPU burn bounded
-    /// while `pending` polling still detects quiescence. Successor dedup
-    /// is batched: each task pre-probes read-only, then resolves all
-    /// missing keys with one [`ConcurrentIndex::get_or_insert_batch`] call
-    /// — one lock round per shard per task instead of one per successor.
+    /// while `pending` polling still detects quiescence.
     #[allow(clippy::too_many_lines)]
     fn work_steal(
         &self,
@@ -1667,7 +1686,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         on_progress: &mut Option<ProgressCallback<'_>>,
     ) -> Option<(Run<P::LocalState>, WsReport)> {
         let ws_started = Instant::now();
-        let workers = ctx.threads;
+        let workers = ctx.gate.workers;
         let (tracer, live, sym, canon_probe, hists) =
             (ctx.tracer, ctx.live, ctx.sym, ctx.canon_probe, ctx.hists);
         let traced = tracer.enabled();
@@ -1734,15 +1753,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let run_worker = |me: usize, own: lfdeque::Owner<WsTask<P::LocalState>>| {
             let mut out = WsWorkerOut::default();
             let mut scratch = vec![0u32; n_obj + n_procs];
-            // Per-task scratch reused for the whole run: the
-            // phase-A successor records, the batched-probe key
-            // set and results, and the children to enqueue.
-            // Cleared between tasks, never reallocated once
-            // warm — the expand path settles into zero heap
-            // traffic beyond genuinely new configurations.
-            let mut fixups: Vec<WsFixup<P::LocalState>> = Vec::new();
-            let mut batch_keys: Vec<CompactConfig> = Vec::new();
-            let mut batch_results: Vec<(u32, bool)> = Vec::new();
+            // The children of the task being expanded, reused for
+            // the whole run.
             let mut spawned: Vec<WsTask<P::LocalState>> = Vec::new();
             // Private L1 in front of the shared transition memo:
             // repeat (state, proc) pairs — the common case on
@@ -1753,14 +1765,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             // `Arc<Pairs>` clone per distinct pair per worker.
             let mut memo_l1: lbsa_support::hash::FxHashMap<(u32, u32, u32), Arc<Pairs>> =
                 lbsa_support::hash::FxHashMap::default();
-            // Depth-first continuation: the newest child of the
-            // task just expanded rides here instead of taking a
-            // deque round-trip — on chain-shaped frontiers that
-            // skips the pop's mandatory fence and both `pending`
-            // RMWs for almost every task. Held work is invisible
-            // to thieves for exactly one expansion, the same
-            // window a popped task always was.
-            let mut in_hand: Option<WsTask<P::LocalState>> = None;
             // Consecutive failed sweeps drive the
             // spin→yield→park backoff; any found task resets it.
             let mut backoff: u32 = 0;
@@ -1776,135 +1780,127 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 if abort.load(Ordering::Acquire) {
                     break;
                 }
-                // In-hand continuation first (same task the LIFO
-                // pop would return, without the fence), then the
-                // own deque (depth-first locally, cache-warm
-                // parents), then sweep the victims.
-                let task = if let Some(task) = in_hand.take() {
-                    out.local_hits += 1;
-                    backoff = 0;
-                    task
-                } else {
-                    match own.pop() {
-                        Some(task) => {
-                            out.local_hits += 1;
-                            backoff = 0;
-                            task
-                        }
-                        None => {
-                            // The no-local-work path — sweep, spin,
-                            // yield — counts as idle time; the clock
-                            // only runs while this worker is not
-                            // expanding, so it is measured even on
-                            // untraced runs. Parked waits are timed
-                            // separately in `parked_ns` so reported
-                            // idle stays proportional to burned CPU.
-                            let sweep_t0 = Instant::now();
-                            let mut stolen = None;
-                            if workers > 1 {
-                                rng ^= rng << 13;
-                                rng ^= rng >> 17;
-                                rng ^= rng << 5;
-                                let rot = rng as usize % (workers - 1);
-                                for k in 0..workers - 1 {
-                                    let victim = (me + 1 + (rot + k) % (workers - 1)) % workers;
-                                    match stealers[victim].steal_batch_and_pop(&own, WS_STEAL_MAX) {
-                                        lfdeque::Steal::Taken((task, extra)) => {
-                                            stolen = Some((task, victim, extra));
-                                            break;
-                                        }
-                                        // A lost CAS race means the
-                                        // victim is being drained by
-                                        // someone; move on rather
-                                        // than contend on one deque.
-                                        lfdeque::Steal::Empty | lfdeque::Steal::Retry => {}
-                                    }
-                                }
-                            }
-                            match stolen {
-                                Some((task, victim_hit, extra)) => {
-                                    out.steals += 1;
-                                    if let Some(live) = live {
-                                        live.steals.bump();
-                                    }
-                                    backoff = 0;
-                                    // The batched extras landed in
-                                    // our own deque; the task in
-                                    // hand counts toward depth too.
-                                    out.max_deque_depth = out.max_deque_depth.max(own.len() + 1);
-                                    let sweep = sweep_t0.elapsed();
-                                    out.idle_ns = out.idle_ns.saturating_add(duration_ns(sweep));
-                                    if traced {
-                                        hists.steal.record(sweep);
-                                        hists.steal_batch.record_ns(extra as u64 + 1);
-                                        tracer.emit_with("ws.steal", || {
-                                            Json::object()
-                                                .set("worker", me)
-                                                .set("victim", victim_hit)
-                                                .set("outcome", "hit")
-                                                .set("batch", extra + 1)
-                                                .set("latency_us", duration_us(sweep))
-                                        });
-                                    }
-                                    task
-                                }
-                                None => {
-                                    out.steal_fails += 1;
-                                    out.idle_ns =
-                                        out.idle_ns.saturating_add(duration_ns(sweep_t0.elapsed()));
-                                    // Per-attempt miss events would
-                                    // be unbounded in a spin storm;
-                                    // power-of-two sampling keeps the
-                                    // trace logarithmic while the
-                                    // `spins`/`parks` fields preserve
-                                    // the storm's true intensity.
-                                    if traced && out.steal_fails.is_power_of_two() {
-                                        tracer.emit_with("ws.steal", || {
-                                            Json::object()
-                                                .set("worker", me)
-                                                .set("outcome", "miss")
-                                                .set("spins", out.idle_spins)
-                                                .set("parks", out.park_count)
-                                                .set("pending", pending.load(Ordering::Relaxed))
-                                        });
-                                    }
-                                    if pending.load(Ordering::Acquire) == 0 {
+                // The own deque first (depth-first locally,
+                // cache-warm parents), then sweep the victims.
+                let task = match own.pop() {
+                    Some(task) => {
+                        out.local_hits += 1;
+                        backoff = 0;
+                        task
+                    }
+                    None => {
+                        // The no-local-work path — sweep, spin,
+                        // yield — counts as idle time; the clock
+                        // only runs while this worker is not
+                        // expanding, so it is measured even on
+                        // untraced runs. Parked waits are timed
+                        // separately in `parked_ns` so reported
+                        // idle stays proportional to burned CPU.
+                        let sweep_t0 = Instant::now();
+                        let mut stolen = None;
+                        if workers > 1 {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 17;
+                            rng ^= rng << 5;
+                            let rot = rng as usize % (workers - 1);
+                            for k in 0..workers - 1 {
+                                let victim = (me + 1 + (rot + k) % (workers - 1)) % workers;
+                                match stealers[victim].steal_batch_and_pop(&own, WS_STEAL_MAX) {
+                                    lfdeque::Steal::Taken((task, extra)) => {
+                                        stolen = Some((task, victim, extra));
                                         break;
                                     }
-                                    // Exponential backoff: brief
-                                    // spins first (work usually
-                                    // reappears in microseconds),
-                                    // then scheduler yields, then
-                                    // timed parks — so a starved
-                                    // worker's CPU burn is bounded
-                                    // per idle episode while the
-                                    // `pending` poll above still
-                                    // detects quiescence promptly.
-                                    backoff = backoff.saturating_add(1);
-                                    if backoff <= WS_SPIN_ROUNDS {
-                                        out.idle_spins += 1;
-                                        for _ in 0..(1u32 << backoff) {
-                                            std::hint::spin_loop();
-                                        }
-                                    } else if backoff <= WS_SPIN_ROUNDS + WS_YIELD_ROUNDS {
-                                        out.idle_spins += 1;
-                                        std::thread::yield_now();
-                                    } else {
-                                        out.park_count += 1;
-                                        if let Some(live) = live {
-                                            live.parked_workers.add(1);
-                                        }
-                                        let park_t0 = Instant::now();
-                                        std::thread::park_timeout(WS_PARK);
-                                        if let Some(live) = live {
-                                            live.parked_workers.sub(1);
-                                        }
-                                        out.parked_ns = out
-                                            .parked_ns
-                                            .saturating_add(duration_ns(park_t0.elapsed()));
-                                    }
-                                    continue;
+                                    // A lost CAS race means the
+                                    // victim is being drained by
+                                    // someone; move on rather
+                                    // than contend on one deque.
+                                    lfdeque::Steal::Empty | lfdeque::Steal::Retry => {}
                                 }
+                            }
+                        }
+                        match stolen {
+                            Some((task, victim_hit, extra)) => {
+                                out.steals += 1;
+                                if let Some(live) = live {
+                                    live.steals.bump();
+                                }
+                                backoff = 0;
+                                // The batched extras landed in
+                                // our own deque; the task in
+                                // hand counts toward depth too.
+                                out.max_deque_depth = out.max_deque_depth.max(own.len() + 1);
+                                let sweep = sweep_t0.elapsed();
+                                out.idle_ns = out.idle_ns.saturating_add(duration_ns(sweep));
+                                if traced {
+                                    hists.steal.record(sweep);
+                                    hists.steal_batch.record_ns(extra as u64 + 1);
+                                    tracer.emit_with("ws.steal", || {
+                                        Json::object()
+                                            .set("worker", me)
+                                            .set("victim", victim_hit)
+                                            .set("outcome", "hit")
+                                            .set("batch", extra + 1)
+                                            .set("latency_us", duration_us(sweep))
+                                    });
+                                }
+                                task
+                            }
+                            None => {
+                                out.steal_fails += 1;
+                                out.idle_ns =
+                                    out.idle_ns.saturating_add(duration_ns(sweep_t0.elapsed()));
+                                // Per-attempt miss events would
+                                // be unbounded in a spin storm;
+                                // power-of-two sampling keeps the
+                                // trace logarithmic while the
+                                // `spins`/`parks` fields preserve
+                                // the storm's true intensity.
+                                if traced && out.steal_fails.is_power_of_two() {
+                                    tracer.emit_with("ws.steal", || {
+                                        Json::object()
+                                            .set("worker", me)
+                                            .set("outcome", "miss")
+                                            .set("spins", out.idle_spins)
+                                            .set("parks", out.park_count)
+                                            .set("pending", pending.load(Ordering::Relaxed))
+                                    });
+                                }
+                                if pending.load(Ordering::Acquire) == 0 {
+                                    break;
+                                }
+                                // Exponential backoff: brief
+                                // spins first (work usually
+                                // reappears in microseconds),
+                                // then scheduler yields, then
+                                // timed parks — so a starved
+                                // worker's CPU burn is bounded
+                                // per idle episode while the
+                                // `pending` poll above still
+                                // detects quiescence promptly.
+                                backoff = backoff.saturating_add(1);
+                                if backoff <= WS_SPIN_ROUNDS {
+                                    out.idle_spins += 1;
+                                    for _ in 0..(1u32 << backoff) {
+                                        std::hint::spin_loop();
+                                    }
+                                } else if backoff <= WS_SPIN_ROUNDS + WS_YIELD_ROUNDS {
+                                    out.idle_spins += 1;
+                                    std::thread::yield_now();
+                                } else {
+                                    out.park_count += 1;
+                                    if let Some(live) = live {
+                                        live.parked_workers.add(1);
+                                    }
+                                    let park_t0 = Instant::now();
+                                    std::thread::park_timeout(WS_PARK);
+                                    if let Some(live) = live {
+                                        live.parked_workers.sub(1);
+                                    }
+                                    out.parked_ns = out
+                                        .parked_ns
+                                        .saturating_add(duration_ns(park_t0.elapsed()));
+                                }
+                                continue;
                             }
                         }
                     }
@@ -1922,16 +1918,10 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 let task_t0 = traced.then(Instant::now);
                 let config = &task.config;
                 let parent_key = &task.key;
-                fixups.clear();
-                batch_keys.clear();
                 let edge_start = out.edge_pool.len();
-                // Phase A: enumerate successors and pre-probe the
-                // shared index read-only. Hits emit their edge on
-                // the spot; only misses queue a key for the one
-                // batched insert round and a fixup that phase B
-                // patches into the already-emitted placeholder
-                // edge — so the per-successor record/replay cost
-                // is paid by fresh configurations only.
+                // Each successor is resolved against the shared index
+                // on the spot; the worker that wins a key's insert
+                // materializes the configuration and schedules it.
                 for (i, status) in config.procs.iter().enumerate() {
                     let ProcStatus::Running(local) = status else {
                         continue;
@@ -1994,99 +1984,34 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     (key, arc)
                                 }
                             };
-                            match index.probe(&key) {
-                                Some(t) => {
-                                    out.edge_pool.push(Edge {
-                                        pid,
-                                        outcome,
-                                        target: t as usize,
-                                    });
-                                }
-                                None => {
-                                    let edge = u32::try_from(out.edge_pool.len())
-                                        .expect("edge pool overflow");
-                                    out.edge_pool.push(Edge {
-                                        pid,
-                                        outcome,
-                                        target: usize::MAX,
-                                    });
-                                    batch_keys.push(key);
-                                    fixups.push(WsFixup::Canon { edge, arc });
-                                }
-                            }
-                        } else {
-                            match index.probe(&scratch) {
-                                Some(t) => {
-                                    out.edge_pool.push(Edge {
-                                        pid,
-                                        outcome,
-                                        target: t as usize,
-                                    });
-                                }
-                                None => {
-                                    let edge = u32::try_from(out.edge_pool.len())
-                                        .expect("edge pool overflow");
-                                    out.edge_pool.push(Edge {
-                                        pid,
-                                        outcome,
-                                        target: usize::MAX,
-                                    });
-                                    batch_keys.push(scratch.as_slice().into());
-                                    fixups.push(WsFixup::Raw {
-                                        edge,
-                                        obj: obj.index() as u32,
-                                        succ_state,
-                                        succ_proc,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                // Phase B: one batched index round for the keys
-                // the pre-probe missed (keys another worker
-                // interned since the probe come back as hits),
-                // then patch each placeholder edge and
-                // materialize only the insert winners.
-                if batch_keys.is_empty() {
-                    batch_results.clear();
-                } else {
-                    out.index_batch_hits +=
-                        index.get_or_insert_batch(&batch_keys, &mut batch_results);
-                }
-                for (b, fix) in fixups.drain(..).enumerate() {
-                    let (t, inserted) = batch_results[b];
-                    match fix {
-                        WsFixup::Canon { edge, arc } => {
-                            out.edge_pool[edge as usize].target = t as usize;
+                            let (t, inserted) = index.get_or_insert(&key);
+                            out.edge_pool.push(Edge {
+                                pid,
+                                outcome,
+                                target: t as usize,
+                            });
                             if inserted {
                                 spawned.push(WsTask {
                                     id: t,
-                                    key: Arc::clone(&batch_keys[b]),
+                                    key,
                                     config: (*arc).clone(),
                                 });
                             }
-                        }
-                        WsFixup::Raw {
-                            edge,
-                            obj,
-                            succ_state,
-                            succ_proc,
-                        } => {
-                            let pid = {
-                                let slot = &mut out.edge_pool[edge as usize];
-                                slot.target = t as usize;
-                                slot.pid
-                            };
+                        } else {
+                            let (t, inserted) = index.get_or_insert(&scratch);
+                            out.edge_pool.push(Edge {
+                                pid,
+                                outcome,
+                                target: t as usize,
+                            });
                             if inserted {
                                 let mut next = config.clone();
-                                next.object_states[obj as usize] =
+                                next.object_states[obj.index()] =
                                     state_interner.resolve_with(succ_state, Clone::clone);
-                                next.procs[pid.0] =
-                                    proc_interner.resolve_with(succ_proc, Clone::clone);
+                                next.procs[i] = proc_interner.resolve_with(succ_proc, Clone::clone);
                                 spawned.push(WsTask {
                                     id: t,
-                                    key: Arc::clone(&batch_keys[b]),
+                                    key: scratch.as_slice().into(),
                                     config: next,
                                 });
                             }
@@ -2104,24 +2029,21 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 // to the assembly set here.
                 out.configs.push((task.id, task.config));
                 // Retire this task and enqueue its children in
-                // one `pending` update. The newest child (the
-                // task the LIFO pop would return next) stays in
-                // hand and inherits this task's `pending` slot —
-                // so a chain of single-child tasks runs with zero
-                // `pending` RMWs and zero deque traffic.
-                if spawned.is_empty() {
-                    pending.fetch_sub(1, Ordering::AcqRel);
-                } else {
-                    in_hand = spawned.pop();
-                    let extra = spawned.len();
-                    if extra > 0 {
-                        pending.fetch_add(extra, Ordering::AcqRel);
-                        for child in spawned.drain(..) {
-                            own.push(child);
-                        }
-                        out.max_deque_depth = out.max_deque_depth.max(own.len() + 1);
+                // one `pending` update: the first child inherits
+                // this task's slot.
+                match spawned.len() {
+                    0 => {
+                        pending.fetch_sub(1, Ordering::AcqRel);
+                    }
+                    1 => {}
+                    n => {
+                        pending.fetch_add(n - 1, Ordering::AcqRel);
                     }
                 }
+                for child in spawned.drain(..) {
+                    own.push(child);
+                }
+                out.max_deque_depth = out.max_deque_depth.max(own.len());
                 // Live mirror: a few relaxed bumps per task (never per
                 // successor), and O(1)-readable mem gauges refreshed at a
                 // coarse beat so the watcher never perturbs the hot path.
@@ -2182,7 +2104,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         .set("park_count", out.park_count)
                         .set("parked_us", out.parked_ns / 1_000)
                         .set("deque_grows", out.deque_grows)
-                        .set("index_batch_hits", out.index_batch_hits)
                         .set("idle_us", out.idle_ns / 1_000)
                         .set("busy_us", out.busy_ns / 1_000)
                 });
@@ -2248,7 +2169,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     .set("park_count", out.park_count)
                     .set("parked_us", out.parked_ns / 1_000)
                     .set("deque_grows", out.deque_grows)
-                    .set("index_batch_hits", out.index_batch_hits)
                     .set("idle_us", out.idle_ns / 1_000)
                     .set("busy_us", out.busy_ns / 1_000)
             });
@@ -2257,7 +2177,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             report.local_hits += out.local_hits;
             report.park_count += out.park_count;
             report.deque_grows += out.deque_grows;
-            report.index_batch_hits += out.index_batch_hits;
             report.memo_l1_hits += out.memo_l1_hits;
             deque_bytes += out.deque_bytes;
             report.workers.push(WorkerStats {
@@ -3001,6 +2920,33 @@ mod tests {
         assert!(g.stats.workers.is_empty());
         assert_eq!(seen, g.stats.levels.len());
         assert!(!g.stats.summary().contains("work-stealing"));
+    }
+
+    #[test]
+    fn the_recruitment_gate_follows_the_cores_and_the_helper_count() {
+        let cores = available_cores();
+        let natural = RecruitGate::new(64, false);
+        assert_eq!(natural.workers, cores.min(64), "capped at the cores");
+        assert_eq!(RecruitGate::new(1, false).workers, 1);
+        let forced = RecruitGate::new(8, true);
+        assert_eq!(forced.workers, 8, "a forced pool ignores the cores");
+        assert_eq!(forced.node_cost, POOL_NODE_COST / 7);
+        assert_eq!(forced.after, SPAWN_JOIN_COST * RECRUIT_MULTIPLE * 7);
+        assert_eq!(RecruitGate::new(2, true).node_cost, POOL_NODE_COST);
+        // Two completed levels, each over the per-node bar, past the
+        // run-time threshold: open. One cheap level keeps it shut.
+        let gate = RecruitGate::new(2, true);
+        let level = |level, width, us| LevelStats {
+            level,
+            width,
+            transitions: width,
+            elapsed: Duration::from_micros(us),
+        };
+        let costly = [level(0, 1, 60), level(1, 4, 240)];
+        assert!(gate.open(gate.after, &costly));
+        assert!(!gate.open(gate.after / 2, &costly));
+        assert!(!gate.open(gate.after, &costly[..1]));
+        assert!(!gate.open(gate.after, &[level(0, 1, 60), level(1, 4, 100)]));
     }
 
     #[test]

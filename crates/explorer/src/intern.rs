@@ -106,8 +106,8 @@ impl std::borrow::Borrow<[u32]> for IndexKey {
 const SHARD_BITS: u32 = SHARDS.trailing_zeros();
 
 /// A configuration compressed to interned ids: object-state ids followed by
-/// process-status ids. Reference-counted so work-stealing tasks, batched
-/// index probes and the canonicalization memo can share one allocation.
+/// process-status ids. Reference-counted so work-stealing tasks and the
+/// canonicalization memo can share one allocation.
 pub type CompactConfig = Arc<[u32]>;
 
 /// A concurrent hash-consing table: `intern` maps equal values to equal
@@ -421,89 +421,6 @@ impl ConcurrentIndex {
         (id, true)
     }
 
-    /// Batched [`ConcurrentIndex::get_or_insert`]: resolves every key of
-    /// one task's successor set with at most one read-lock and one
-    /// write-lock acquisition *per shard touched*, instead of up to two
-    /// lock round-trips per key. `results[i]` receives `(id, inserted)`
-    /// for `keys[i]`, with the same winner semantics as the scalar call
-    /// (duplicate keys inside one batch: the first occurrence wins, the
-    /// rest report hits). Returns the number of keys resolved without
-    /// inserting — the batch's hit count.
-    ///
-    /// Ids are still handed out by the shared counter under the winning
-    /// shard's write lock, so they stay dense and unique; within a batch
-    /// they follow key order per shard (shard visit order is the probe
-    /// order of first misses), which is as discovery-ordered as the
-    /// barrier-free engine gets.
-    pub fn get_or_insert_batch(
-        &self,
-        keys: &[CompactConfig],
-        results: &mut Vec<(u32, bool)>,
-    ) -> u64 {
-        results.clear();
-        results.resize(keys.len(), (u32::MAX, false));
-        let mut hits = 0u64;
-        // Tiny batches take the scalar path: once dedup saturates, most
-        // tasks miss on zero, one, or two keys, and the shard-grouping
-        // pass below would cost more than the lock round-trips it saves.
-        // Duplicate keys inside a tiny batch still resolve correctly —
-        // the later occurrence re-checks under the lock and reports a hit.
-        if keys.len() <= 2 {
-            for (i, key) in keys.iter().enumerate() {
-                let (id, inserted) = self.get_or_insert(key);
-                results[i] = (id, inserted);
-                if !inserted {
-                    hits += 1;
-                }
-            }
-            return hits;
-        }
-        // Phase 1: group by shard and probe each touched shard under one
-        // read lock. SHARDS is small, so a fixed per-shard index list
-        // beats any allocation-heavy grouping.
-        let mut by_shard: [Vec<usize>; SHARDS] = std::array::from_fn(|_| Vec::new());
-        for (i, key) in keys.iter().enumerate() {
-            by_shard[Self::shard_of(key)].push(i);
-        }
-        for (shard, members) in by_shard.iter_mut().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            {
-                let guard = self.shards[shard].read().expect("index lock poisoned");
-                members.retain(|&i| match guard.get(keys[i].as_ref()) {
-                    Some(&id) => {
-                        results[i] = (id, false);
-                        hits += 1;
-                        false
-                    }
-                    None => true,
-                });
-            }
-            if members.is_empty() {
-                continue;
-            }
-            // Phase 2: one write lock per shard with misses; re-check
-            // under the lock (another worker, or an earlier duplicate in
-            // this very batch, may have won meanwhile).
-            let mut guard = self.shards[shard].write().expect("index lock poisoned");
-            for &i in members.iter() {
-                if let Some(&id) = guard.get(keys[i].as_ref()) {
-                    results[i] = (id, false);
-                    hits += 1;
-                    continue;
-                }
-                let id = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                assert!(id < u32::MAX, "concurrent index overflow");
-                self.bytes
-                    .fetch_add(index_entry_bytes(keys[i].len()), Ordering::Relaxed);
-                guard.insert(IndexKey::new(&keys[i]), id);
-                results[i] = (id, true);
-            }
-        }
-        hits
-    }
-
     /// [`ConcurrentIndex::probe`] for exclusive access: `&mut self` proves
     /// no other thread holds a lock, so the shard is read without one.
     /// This is the dedup probe of the sequential BFS.
@@ -686,79 +603,6 @@ mod tests {
         for i in 0..distinct_keys as u32 {
             let key: Vec<u32> = vec![i, i.wrapping_mul(7), i ^ 3];
             assert_eq!(index.probe(&key), Some(id_of_key[&i]));
-        }
-    }
-
-    #[test]
-    fn batch_get_or_insert_matches_scalar_semantics() {
-        let index = ConcurrentIndex::new();
-        let keys: Vec<CompactConfig> = (0..100u32)
-            .map(|i| vec![i % 40, (i % 40).wrapping_mul(13), i % 40].into())
-            .collect();
-        let mut results = Vec::new();
-        let hits = index.get_or_insert_batch(&keys, &mut results);
-        assert_eq!(results.len(), keys.len());
-        // 0..40 distinct keys; within the batch the first occurrence of
-        // each wins, later duplicates are hits.
-        let inserted = results.iter().filter(|&&(_, won)| won).count();
-        assert_eq!(inserted, 40);
-        assert_eq!(hits, 60);
-        assert_eq!(index.len(), 40);
-        // Ids are dense and agree with the scalar path.
-        for (i, &(id, _)) in results.iter().enumerate() {
-            assert!((id as usize) < 40, "ids must be dense");
-            assert_eq!(index.get_or_insert(&keys[i]), (id, false));
-            assert_eq!(index.probe(&keys[i]), Some(id));
-        }
-        // A second batch over the same keys is all hits.
-        let hits2 = index.get_or_insert_batch(&keys, &mut results);
-        assert_eq!(hits2, 100);
-        assert!(results.iter().all(|&(_, won)| !won));
-    }
-
-    #[test]
-    fn concurrent_batches_assign_one_winner_per_key() {
-        let index = ConcurrentIndex::new();
-        let results: Vec<Vec<(u32, bool)>> = std::thread::scope(|s| {
-            (0..4u32)
-                .map(|t| {
-                    let index = &index;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut all = Vec::new();
-                        // Overlapping windows, batched 16 at a time.
-                        for chunk_start in (t * 50..t * 50 + 200).step_by(16) {
-                            let keys: Vec<CompactConfig> = (chunk_start
-                                ..(chunk_start + 16).min(t * 50 + 200))
-                                .map(|i| vec![i, i.wrapping_mul(7), i ^ 3].into())
-                                .collect();
-                            index.get_or_insert_batch(&keys, &mut out);
-                            all.extend(out.iter().copied());
-                        }
-                        all
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        let distinct = 350;
-        assert_eq!(index.len(), distinct);
-        let mut winners = vec![0usize; distinct];
-        for thread_results in &results {
-            for &(id, won) in thread_results {
-                assert!((id as usize) < distinct, "ids must be dense");
-                if won {
-                    winners[id as usize] += 1;
-                }
-            }
-        }
-        assert!(winners.iter().all(|&w| w == 1), "exactly one winner per id");
-        // Batched and scalar probes agree.
-        for i in 0..distinct as u32 {
-            let key: Vec<u32> = vec![i, i.wrapping_mul(7), i ^ 3];
-            assert!(index.probe(&key).is_some());
         }
     }
 

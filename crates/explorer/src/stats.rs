@@ -331,10 +331,6 @@ pub struct ExploreStats {
     /// Lock-free deque buffer doublings across workers (work-stealing
     /// only).
     pub deque_grows: u64,
-    /// Keys the batched index round resolved to already-interned nodes —
-    /// i.e. races another worker won between a task's read-only pre-probe
-    /// and its insert round (work-stealing only).
-    pub index_batch_hits: u64,
     /// Estimated heap footprint of the state/status interners at the end
     /// of the run (see `Interner::approx_bytes` — a structural estimate,
     /// not an allocator measurement).
@@ -490,7 +486,6 @@ impl ExploreStats {
             .set("local_hits", self.local_hits)
             .set("park_count", self.park_count)
             .set("deque_grows", self.deque_grows)
-            .set("index_batch_hits", self.index_batch_hits)
             .set("interner_bytes", self.interner_bytes)
             .set("index_bytes", self.index_bytes);
         if !self.workers.is_empty() {
@@ -595,7 +590,6 @@ mod tests {
             local_hits: 250,
             park_count: 7,
             deque_grows: 2,
-            index_batch_hits: 5,
             canon_patches: 40,
             canon_full: 2,
             ..ExploreStats::default()
@@ -608,7 +602,6 @@ mod tests {
         assert_eq!(doc.get("local_hits"), Some(&Json::Int(250)));
         assert_eq!(doc.get("park_count"), Some(&Json::Int(7)));
         assert_eq!(doc.get("deque_grows"), Some(&Json::Int(2)));
-        assert_eq!(doc.get("index_batch_hits"), Some(&Json::Int(5)));
         assert_eq!(doc.get("canon_patches"), Some(&Json::Int(40)));
         assert_eq!(doc.get("canon_full"), Some(&Json::Int(2)));
     }
