@@ -13,9 +13,7 @@
 use lbsa_bench::harness::run_experiment;
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Pid};
-use lbsa_explorer::adversary::{find_nontermination, verify_witness};
-use lbsa_explorer::checker::{check_consensus, check_dac, DacInstance, Violation};
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::{DacInstance, Explorer, Limits, Outcome, Verdict, Violation};
 use lbsa_hierarchy::report::Table;
 use lbsa_protocols::candidates::{
     CandidatePacProcedure, DacWaitForWinner, SaThenConsensus, ValAgreement, WaitForWinner,
@@ -34,6 +32,27 @@ fn violation_kind(v: &Violation) -> String {
             format!("solo non-termination ({pid})")
         }
         other => format!("{other}"),
+    }
+}
+
+/// The table cell of a soundness control, which must hold.
+fn control(verdict: &Verdict) -> String {
+    if verdict.holds() {
+        format!(
+            "correct (control): {} configs checked",
+            verdict.stats.configs
+        )
+    } else {
+        format!("UNEXPECTEDLY REFUTED: {verdict}")
+    }
+}
+
+/// The table cell of a candidate, which must be refuted.
+fn refuted(verdict: &Verdict) -> String {
+    match &verdict.outcome {
+        Outcome::Violated(v) => violation_kind(v),
+        Outcome::Holds => "NOT REFUTED (machinery bug)".to_string(),
+        _ => format!("UNEXPECTED: {verdict}"),
     }
 }
 
@@ -61,10 +80,12 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
         let protocol = DacFromPac::new(inputs, Pid(0), ObjId(0)).expect("3 >= 2");
         let objects = vec![AnyObject::pac(3).expect("valid")];
         let explorer = Explorer::new(&protocol, &objects).with_trace(exp.tracer());
-        let verdict = match check_dac(&explorer, &protocol.instance(), limits, 18) {
-            Ok(s) => format!("correct (control): {} configs checked", s.configs),
-            Err(v) => format!("UNEXPECTEDLY REFUTED: {v}"),
-        };
+        let verdict = control(
+            &explorer
+                .exploration()
+                .limits(limits)
+                .check_dac(&protocol.instance(), 18),
+        );
         table.row(vec![
             "Algorithm 2 (3-DAC)".into(),
             "one 3-PAC".into(),
@@ -81,10 +102,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             AnyObject::register(),
         ];
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Ok(s) => format!("correct (control): {} configs checked", s.configs),
-            Err(v) => format!("UNEXPECTEDLY REFUTED: {v}"),
-        };
+        let verdict = control(&ex.exploration().limits(limits).check_consensus(&inputs));
         table.row(vec![
             "wait-for-winner, 2 procs".into(),
             "2-consensus + register".into(),
@@ -101,16 +119,14 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             AnyObject::register(),
         ];
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Err(v) => {
+        let verdict = ex.exploration().limits(limits).check_consensus(&inputs);
+        let verdict = match (&verdict.outcome, &verdict.witness) {
+            (Outcome::Violated(v), Some(w)) => {
                 // Confirm the certificate replays.
-                let g = ex.exploration().limits(limits).run().expect("explorable");
-                let replayed = find_nontermination(&g)
-                    .map(|w| verify_witness(&g, &w))
-                    .unwrap_or(false);
-                format!("{} — certificate replays: {replayed}", violation_kind(&v))
+                let replayed = w.confirm(&ex).is_ok();
+                format!("{} — certificate replays: {replayed}", violation_kind(v))
             }
-            Ok(_) => "NOT REFUTED (machinery bug)".to_string(),
+            _ => refuted(&verdict),
         };
         table.row(vec![
             "wait-for-winner, 3 procs".into(),
@@ -128,10 +144,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             AnyObject::consensus(2).expect("valid"),
         ];
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Err(v) => violation_kind(&v),
-            Ok(_) => "NOT REFUTED (machinery bug)".to_string(),
-        };
+        let verdict = refuted(&ex.exploration().limits(limits).check_consensus(&inputs));
         table.row(vec![
             "2-SA narrow + tie-break".into(),
             "2-SA + 2-consensus".into(),
@@ -152,10 +165,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             distinguished: Pid(0),
             inputs,
         };
-        let verdict = match check_dac(&ex, &instance, limits, 18) {
-            Err(v) => violation_kind(&v),
-            Ok(_) => "NOT REFUTED (machinery bug)".to_string(),
-        };
+        let verdict = refuted(&ex.exploration().limits(limits).check_dac(&instance, 18));
         table.row(vec![
             "DAC wait-for-winner".into(),
             "2-consensus + register".into(),
@@ -182,10 +192,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             distinguished: Pid(0),
             inputs,
         };
-        let verdict = match check_dac(&ex, &instance, limits, 60) {
-            Err(v) => violation_kind(&v),
-            Ok(_) => "NOT REFUTED (machinery bug)".to_string(),
-        };
+        let verdict = refuted(&ex.exploration().limits(limits).check_dac(&instance, 60));
         table.row(vec![
             "register 3-PAC impl (Alg. 2 on top)".into(),
             "2-consensus + 4 registers".into(),

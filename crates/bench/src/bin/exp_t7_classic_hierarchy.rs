@@ -12,8 +12,7 @@
 use lbsa_bench::harness::run_experiment;
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, Value};
-use lbsa_explorer::checker::{check_consensus, Violation};
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::{Explorer, Limits, Outcome, Verdict, Violation};
 use lbsa_hierarchy::certify::{certified_consensus_number, Face};
 use lbsa_hierarchy::report::Table;
 use lbsa_protocols::classic_consensus::{AnnounceConsensus, ClassicConsensus, RacePrimitive};
@@ -28,6 +27,15 @@ fn main() {
             body(exp, limits);
         },
     );
+}
+
+/// The table cell of a check that must hold.
+fn verified(verdict: Verdict) -> String {
+    if verdict.holds() {
+        format!("consensus verified ({} configs)", verdict.stats.configs)
+    } else {
+        format!("UNEXPECTED: {verdict}")
+    }
 }
 
 fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
@@ -48,10 +56,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
         let p = ClassicConsensus::two_process(prim, inputs.clone()).expect("2 inputs");
         let objects = p.objects();
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Ok(s) => format!("consensus verified ({} configs)", s.configs),
-            Err(v) => format!("UNEXPECTED: {v}"),
-        };
+        let verdict = verified(ex.exploration().limits(limits).check_consensus(&inputs));
         table.row(vec![
             name.into(),
             "direct (read-the-other)".into(),
@@ -65,12 +70,14 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             let p = AnnounceConsensus::new(prim, inputs.clone());
             let objects = p.objects();
             let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-            let verdict = match check_consensus(&ex, &inputs, limits) {
-                Err(Violation::NonTermination(w)) => {
+            let verdict = ex.exploration().limits(limits).check_consensus(&inputs);
+            let verdict = match &verdict.outcome {
+                Outcome::Violated(Violation::NonTermination(w)) => {
                     format!("refuted: non-termination (cycle len {})", w.cycle.len())
                 }
-                Err(v) => format!("refuted: {v}"),
-                Ok(_) => "NOT REFUTED (machinery bug)".into(),
+                Outcome::Violated(v) => format!("refuted: {v}"),
+                Outcome::Holds => "NOT REFUTED (machinery bug)".into(),
+                _ => format!("UNEXPECTED: {verdict}"),
             };
             table.row(vec![
                 name.into(),
@@ -87,10 +94,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
         let p = ClassicConsensus::cas(inputs.clone());
         let objects = p.objects();
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Ok(s) => format!("consensus verified ({} configs)", s.configs),
-            Err(v) => format!("UNEXPECTED: {v}"),
-        };
+        let verdict = verified(ex.exploration().limits(limits).check_consensus(&inputs));
         table.row(vec![
             "compare-and-swap".into(),
             "CAS(nil -> input)".into(),

@@ -16,9 +16,9 @@
 
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
-use lbsa_explorer::checker::Violation;
-use lbsa_explorer::verdict::{verdict_dac_graph, verdict_k_set_agreement_graph, Outcome};
-use lbsa_explorer::{Exploration, ExplorationGraph, Explorer, Limits, MemorySink, Tracer};
+use lbsa_explorer::{
+    Exploration, ExplorationGraph, Explorer, Limits, MemorySink, Outcome, Tracer, Violation,
+};
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_runtime::process::{Protocol, Step, Symmetry};
 use lbsa_support::check::run_cases;
@@ -407,7 +407,10 @@ fn ws_dac_verdicts_match_deterministic_across_thread_counts() {
         let explorer = Explorer::new(&p, &objects);
         let solo_bound = 6 * n;
         let det = explorer.exploration().threads(1).run().unwrap();
-        let det_verdict = verdict_dac_graph(&explorer, &det, &p.instance(), solo_bound);
+        let det_verdict = explorer
+            .exploration()
+            .threads(1)
+            .check_dac(&p.instance(), solo_bound);
         assert!(
             matches!(det_verdict.outcome, Outcome::Holds),
             "T2 n={n} must satisfy DAC: {det_verdict}"
@@ -417,7 +420,11 @@ fn ws_dac_verdicts_match_deterministic_across_thread_counts() {
             let what = format!("T2 n={n}, ws {threads} threads");
             assert_same_graph(&det, &ws, &what);
             assert_pool_accounting(&ws, threads, &what);
-            let ws_verdict = verdict_dac_graph(&explorer, &ws, &p.instance(), solo_bound);
+            let ws_verdict = explorer
+                .exploration()
+                .force_parallel()
+                .threads(threads)
+                .check_dac(&p.instance(), solo_bound);
             assert_eq!(
                 det_verdict, ws_verdict,
                 "T2 n={n}: verdict differs on the work-stealing graph ({threads} threads)"
@@ -462,7 +469,7 @@ fn ws_broken_consensus_verdicts_match_deterministic_across_thread_counts() {
     let objects = vec![AnyObject::consensus(3).unwrap()];
     let explorer = Explorer::new(&p, &objects);
     let det = explorer.exploration().threads(1).run().unwrap();
-    let det_verdict = verdict_k_set_agreement_graph(&explorer, &det, 1, &inputs);
+    let det_verdict = explorer.exploration().threads(1).check_consensus(&inputs);
     assert!(
         det_verdict.is_violated(),
         "the broken protocol must violate agreement: {det_verdict}"
@@ -472,7 +479,11 @@ fn ws_broken_consensus_verdicts_match_deterministic_across_thread_counts() {
         let what = format!("broken consensus, ws {threads} threads");
         assert_same_graph(&det, &ws, &what);
         assert_pool_accounting(&ws, threads, &what);
-        let ws_verdict = verdict_k_set_agreement_graph(&explorer, &ws, 1, &inputs);
+        let ws_verdict = explorer
+            .exploration()
+            .force_parallel()
+            .threads(threads)
+            .check_consensus(&inputs);
         // Identical graphs give identical verdicts, witness included.
         assert_eq!(det_verdict, ws_verdict, "{what}: verdict differs");
         assert!(
@@ -532,7 +543,11 @@ fn ws_symmetric_reduction_matches_deterministic_across_thread_counts() {
         .run()
         .expect("deterministic reduced exploration succeeds");
     assert!(det.stats.reduced);
-    let det_verdict = verdict_k_set_agreement_graph(&explorer, &det, 1, &inputs);
+    let det_verdict = explorer
+        .exploration()
+        .symmetric()
+        .threads(1)
+        .check_consensus(&inputs);
     assert!(
         matches!(det_verdict.outcome, Outcome::Holds),
         "the symmetric race satisfies consensus: {det_verdict}"
@@ -557,7 +572,12 @@ fn ws_symmetric_reduction_matches_deterministic_across_thread_counts() {
             ws.stats.transitions as u64,
             "symmetric race ({threads} threads): canon accounting leaks"
         );
-        let ws_verdict = verdict_k_set_agreement_graph(&explorer, &ws, 1, &inputs);
+        let ws_verdict = explorer
+            .exploration()
+            .symmetric()
+            .threads(threads)
+            .force_parallel()
+            .check_consensus(&inputs);
         assert_eq!(
             det_verdict, ws_verdict,
             "symmetric race: verdict differs on the work-stealing graph ({threads} threads)"

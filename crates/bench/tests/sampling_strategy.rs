@@ -1,13 +1,11 @@
-//! End-to-end contract of the unified Strategy API: sampling must agree
-//! with exhaustive checking wherever both apply, its verdicts must be
-//! thread-count independent, and its violations must come back as real,
-//! `confirm()`-passing witnesses.
+//! End-to-end contract of sampled checking (`.sample(..)` before a
+//! checking terminal): sampling must agree with exhaustive checking
+//! wherever both apply, its verdicts must be thread-count independent, and
+//! its violations must come back as real, `confirm()`-passing witnesses.
 
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
-use lbsa_explorer::checker::Violation;
-use lbsa_explorer::verdict::Outcome;
-use lbsa_explorer::{Explorer, SampleConfig};
+use lbsa_explorer::{Explorer, Outcome, SampleConfig, Violation};
 use lbsa_protocols::commit_adopt::CommitAdopt;
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_runtime::process::{Protocol, Step};

@@ -1,12 +1,15 @@
 //! Whole-execution-space property checking for the paper's problems:
-//! consensus, k-set agreement, and the n-DAC problem.
+//! consensus, k-set agreement, wait-free termination and the n-DAC problem.
 //!
-//! Every check here runs over a **complete** exploration graph, so a
-//! `Ok(_)` verdict means the property holds in *every* execution of the
-//! protocol — the same quantifier as the paper's theorem statements. The
-//! n-DAC checker implements the exact four properties of Section 4,
-//! including the solo-run Termination clauses (a) and (b), which are checked
-//! by re-exploring `q`-solo extensions from **every** reachable
+//! The graph predicates here are the crate-internal core of the checking
+//! terminals of [`crate::explore::Exploration`] (see [`crate::verdict`]),
+//! which wrap their answers in a [`crate::verdict::Verdict`] with a
+//! replayable witness. Every check runs over a **complete** exploration
+//! graph, so an `Ok(_)` answer means the property holds in *every*
+//! execution of the protocol — the same quantifier as the paper's theorem
+//! statements. The n-DAC checker implements the exact four properties of
+//! Section 4, including the solo-run Termination clauses (a) and (b), which
+//! are checked by re-exploring `q`-solo extensions from **every** reachable
 //! configuration.
 //!
 //! The checkers also run unchanged over a **symmetry-reduced** graph (built
@@ -23,7 +26,7 @@
 
 use crate::adversary::{find_nontermination, NonTerminationWitness};
 use crate::config::Configuration;
-use crate::explore::{ExplorationGraph, Explorer, Limits};
+use crate::explore::{ExplorationGraph, Explorer};
 use lbsa_core::{Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{ProcStatus, Protocol};
@@ -82,11 +85,6 @@ pub enum Violation {
         /// Configuration where the abort is visible.
         config: usize,
     },
-    /// A recorded front-end history admits no legal linearization.
-    NotLinearizable {
-        /// The object whose history cannot be linearized.
-        obj: lbsa_core::ObjId,
-    },
     /// The protocol itself misbehaved (spec error, bad object id).
     Runtime(RuntimeError),
     /// A violation found by a sampling sweep rather than an exhaustive
@@ -121,9 +119,6 @@ impl fmt::Display for Violation {
                 f,
                 "nontriviality violated in configuration {config}: p aborted before any other process stepped"
             ),
-            Violation::NotLinearizable { obj } => {
-                write!(f, "history of {obj} is not linearizable")
-            }
             Violation::Runtime(e) => write!(f, "runtime error during checking: {e}"),
             Violation::Sampled(v) => write!(f, "{v}"),
         }
@@ -136,7 +131,8 @@ impl From<RuntimeError> for Violation {
     }
 }
 
-fn stats<L>(graph: &ExplorationGraph<L>) -> CheckStats {
+/// The work a check over `graph` examined.
+pub(crate) fn stats<L>(graph: &ExplorationGraph<L>) -> CheckStats {
     CheckStats {
         configs: graph.configs.len(),
         transitions: graph.transitions,
@@ -148,13 +144,10 @@ fn stats<L>(graph: &ExplorationGraph<L>) -> CheckStats {
 /// * **k-Agreement** — at most `k` distinct values are decided in any
 ///   configuration,
 /// * **Validity** — every decided value is in `valid_inputs`,
-/// * **Wait-free termination** — no infinite execution, and every terminal
-///   configuration has all processes decided.
-///
-/// # Errors
+/// * **Wait-free termination** — see [`wait_free`].
 ///
 /// Returns the first [`Violation`] found.
-pub fn check_k_set_agreement_graph<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+pub(crate) fn k_set_agreement<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
     graph: &ExplorationGraph<L>,
     k: usize,
     valid_inputs: &[Value],
@@ -179,6 +172,19 @@ pub fn check_k_set_agreement_graph<L: Clone + Eq + std::hash::Hash + std::fmt::D
             }
         }
     }
+    wait_free(graph)
+}
+
+/// Checks wait-free termination over a complete graph: no infinite
+/// execution, and every terminal configuration has all processes decided.
+///
+/// Returns the first [`Violation`] found.
+pub(crate) fn wait_free<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+    graph: &ExplorationGraph<L>,
+) -> Result<CheckStats, Violation> {
+    if !graph.complete {
+        return Err(Violation::Truncated);
+    }
     if let Some(w) = find_nontermination(graph) {
         return Err(Violation::NonTermination(w));
     }
@@ -188,49 +194,6 @@ pub fn check_k_set_agreement_graph<L: Clone + Eq + std::hash::Hash + std::fmt::D
         }
     }
     Ok(stats(graph))
-}
-
-/// Checks the consensus properties (k-set agreement with `k = 1`) over a
-/// complete graph.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found.
-pub fn check_consensus_graph<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
-    graph: &ExplorationGraph<L>,
-    valid_inputs: &[Value],
-) -> Result<CheckStats, Violation> {
-    check_k_set_agreement_graph(graph, 1, valid_inputs)
-}
-
-/// Explores `protocol` and checks consensus in one call.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found (including [`Violation::Truncated`]
-/// when `limits` are too small).
-pub fn check_consensus<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Result<CheckStats, Violation> {
-    let graph = explorer.exploration().limits(limits).run()?;
-    check_consensus_graph(&graph, valid_inputs)
-}
-
-/// Explores `protocol` and checks k-set agreement in one call.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found.
-pub fn check_k_set_agreement<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    k: usize,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Result<CheckStats, Violation> {
-    let graph = explorer.exploration().limits(limits).run()?;
-    check_k_set_agreement_graph(&graph, k, valid_inputs)
 }
 
 /// The n-DAC problem instance being checked (Section 4 of the paper).
@@ -251,7 +214,7 @@ pub struct DacInstance {
 /// # Errors
 ///
 /// Propagates runtime errors.
-pub fn solo_terminates<P: Protocol>(
+pub(crate) fn solo_terminates<P: Protocol>(
     explorer: &Explorer<'_, P>,
     config: &Configuration<P::LocalState>,
     pid: Pid,
@@ -282,7 +245,7 @@ pub fn solo_terminates<P: Protocol>(
 /// # Errors
 ///
 /// Propagates runtime errors.
-pub fn solo_decides<P: Protocol>(
+pub(crate) fn solo_decides<P: Protocol>(
     explorer: &Explorer<'_, P>,
     config: &Configuration<P::LocalState>,
     pid: Pid,
@@ -309,7 +272,8 @@ pub fn solo_decides<P: Protocol>(
     Ok(true)
 }
 
-/// Checks all four n-DAC properties of Section 4 over every execution:
+/// Checks all four n-DAC properties of Section 4 over every execution of
+/// an already-built graph of `explorer`'s protocol:
 ///
 /// * **Agreement** — no configuration contains two distinct decisions;
 /// * **Validity** — every decided value is the input of some process that
@@ -321,28 +285,8 @@ pub fn solo_decides<P: Protocol>(
 /// * **Nontriviality** — in no execution does `p` abort before some other
 ///   process has taken a step.
 ///
-/// # Errors
-///
 /// Returns the first [`Violation`] found.
-pub fn check_dac<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    instance: &DacInstance,
-    limits: Limits,
-    solo_bound: usize,
-) -> Result<CheckStats, Violation> {
-    let graph = explorer.exploration().limits(limits).run()?;
-    check_dac_graph(explorer, &graph, instance, solo_bound)
-}
-
-/// Checks the four n-DAC properties over an already-built exploration
-/// graph of the same protocol — the core of [`check_dac`], exposed so the
-/// verdict layer can explore once and reuse the graph for witness
-/// extraction.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found.
-pub fn check_dac_graph<P: Protocol>(
+pub(crate) fn dac<P: Protocol>(
     explorer: &Explorer<'_, P>,
     graph: &ExplorationGraph<P::LocalState>,
     instance: &DacInstance,
@@ -425,9 +369,29 @@ pub fn check_dac_graph<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::Limits;
     use lbsa_core::value::int;
     use lbsa_core::{AnyObject, ObjId, Op};
     use lbsa_runtime::process::Step;
+
+    /// Explores under `limits` and runs the k-set agreement predicate.
+    fn check_k_set_agreement<P: Protocol>(
+        explorer: &Explorer<'_, P>,
+        k: usize,
+        valid_inputs: &[Value],
+        limits: Limits,
+    ) -> Result<CheckStats, Violation> {
+        let graph = explorer.exploration().limits(limits).run()?;
+        k_set_agreement(&graph, k, valid_inputs)
+    }
+
+    fn check_consensus<P: Protocol>(
+        explorer: &Explorer<'_, P>,
+        valid_inputs: &[Value],
+        limits: Limits,
+    ) -> Result<CheckStats, Violation> {
+        check_k_set_agreement(explorer, 1, valid_inputs, limits)
+    }
 
     /// Correct consensus via a consensus object.
     #[derive(Debug)]

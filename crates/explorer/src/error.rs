@@ -34,6 +34,13 @@ pub enum CheckError {
         /// What went wrong at that step.
         reason: String,
     },
+    /// A checking terminal was asked to sample a property that only has an
+    /// exhaustive check (n-DAC, wait-free termination): the request is
+    /// malformed, and nothing was run.
+    NotSampleable {
+        /// The check's name, as in the `verdict` trace event.
+        check: &'static str,
+    },
 }
 
 impl fmt::Display for CheckError {
@@ -44,6 +51,12 @@ impl fmt::Display for CheckError {
             CheckError::WitnessDiverged { step, reason } => {
                 write!(f, "witness replay diverged at step {step}: {reason}")
             }
+            CheckError::NotSampleable { check } => {
+                write!(
+                    f,
+                    "the {check} check has no sampled form; run it exhaustively"
+                )
+            }
         }
     }
 }
@@ -53,7 +66,7 @@ impl Error for CheckError {
         match self {
             CheckError::Runtime(e) => Some(e),
             CheckError::Linearizability(e) => Some(e),
-            CheckError::WitnessDiverged { .. } => None,
+            CheckError::WitnessDiverged { .. } | CheckError::NotSampleable { .. } => None,
         }
     }
 }
@@ -104,6 +117,10 @@ mod tests {
             reason: "pid cannot step".to_string(),
         };
         assert!(e.to_string().contains("step 3"));
+        assert!(Error::source(&e).is_none());
+
+        let e = CheckError::NotSampleable { check: "dac" };
+        assert!(e.to_string().contains("dac"));
         assert!(Error::source(&e).is_none());
     }
 }

@@ -112,33 +112,8 @@ impl Default for Limits {
     }
 }
 
-/// How a `check_*` terminal of the [`Exploration`] builder quantifies over
-/// executions.
-///
-/// Both strategies answer through the same [`Verdict`](crate::Verdict)
-/// type; they differ in the strength of a positive answer. Exhaustive
-/// checking proves the property over *every* execution
-/// ([`Outcome::Holds`](crate::Outcome::Holds)); sampled checking runs a
-/// seeded random sweep and answers
-/// [`Outcome::HoldsSampled`](crate::Outcome::HoldsSampled) with a
-/// Clopper–Pearson confidence bound — evidence, never proof. Violations
-/// found by either strategy come back as replayable, `confirm()`-able
-/// [`Witness`](crate::Witness)es.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Strategy {
-    /// Explore the full execution graph and check it — the default, and
-    /// the only strategy that can *prove* a property.
-    #[default]
-    Exhaustive,
-    /// Run a seeded sampling sweep (see [`crate::sampling`]) instead of
-    /// exploring: reaches instances far beyond the exhaustive frontier,
-    /// answers with a confidence bound. The verdict and any violating seed
-    /// are independent of the worker thread count.
-    Sample(SampleConfig),
-}
-
 /// Tuning knobs for one exploration run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExploreOptions {
     /// Resource limits (see [`Limits`]).
     pub limits: Limits,
@@ -162,31 +137,6 @@ pub struct ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// Options with the given limits and automatic thread count.
-    #[must_use]
-    pub fn new(limits: Limits) -> Self {
-        ExploreOptions {
-            limits,
-            threads: 0,
-            force_parallel: false,
-        }
-    }
-
-    /// Sets the worker thread count (`0` = auto).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Recruits helpers at the root (see
-    /// [`ExploreOptions::force_parallel`]).
-    #[must_use]
-    pub fn with_force_parallel(mut self, force: bool) -> Self {
-        self.force_parallel = force;
-        self
-    }
-
     /// The concrete thread count this run will use.
     ///
     /// `0` resolves to `LBSA_EXPLORE_THREADS` if set, otherwise all
@@ -225,12 +175,6 @@ fn env_threads(var: &str) -> Option<usize> {
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
-}
-
-impl Default for ExploreOptions {
-    fn default() -> Self {
-        ExploreOptions::new(Limits::default())
-    }
 }
 
 /// Estimated cost of spawning and joining one helper thread. Deliberately
@@ -518,34 +462,52 @@ impl<L> ExplorationGraph<L> {
     /// configuration to `target` by BFS.
     #[must_use]
     pub fn path_to(&self, target: usize) -> Option<Vec<Edge>> {
-        if target == 0 {
-            return Some(vec![]);
+        self.bfs_path(|_| true, |node| node == target)
+    }
+
+    /// The BFS-shortest path from the initial configuration to the first
+    /// node `hit` accepts, following only the edges `follow` admits. A
+    /// predecessor is stored as a node index alone — the edge taken is its
+    /// first admitted edge into the node — so the search costs one word
+    /// per configuration.
+    pub(crate) fn bfs_path(
+        &self,
+        follow: impl Fn(&Edge) -> bool,
+        hit: impl Fn(usize) -> bool,
+    ) -> Option<Vec<Edge>> {
+        const UNSEEN: usize = usize::MAX;
+        if hit(0) {
+            return Some(Vec::new());
         }
-        let mut pred: Vec<Option<(usize, Edge)>> = vec![None; self.configs.len()];
+        let mut pred = vec![UNSEEN; self.configs.len()];
+        pred[0] = 0;
+        let mut found = None;
         let mut queue = VecDeque::from([0usize]);
-        let mut seen = vec![false; self.configs.len()];
-        seen[0] = true;
-        while let Some(node) = queue.pop_front() {
-            for &e in &self.edges[node] {
-                if !seen[e.target] {
-                    seen[e.target] = true;
-                    pred[e.target] = Some((node, e));
-                    if e.target == target {
-                        let mut path = vec![];
-                        let mut cur = target;
-                        while cur != 0 {
-                            let (p, edge) = pred[cur].expect("predecessor recorded");
-                            path.push(edge);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
+        'bfs: while let Some(node) = queue.pop_front() {
+            for e in self.edges[node].iter().filter(|e| follow(e)) {
+                if pred[e.target] == UNSEEN {
+                    pred[e.target] = node;
+                    if hit(e.target) {
+                        found = Some(e.target);
+                        break 'bfs;
                     }
                     queue.push_back(e.target);
                 }
             }
         }
-        None
+        let mut cur = found?;
+        let mut path = Vec::new();
+        while cur != 0 {
+            let prev = pred[cur];
+            path.push(
+                *self.edges[prev]
+                    .iter()
+                    .find(|e| e.target == cur && follow(e))?,
+            );
+            cur = prev;
+        }
+        path.reverse();
+        Some(path)
     }
 }
 
@@ -1041,9 +1003,9 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         }
     }
 
-    /// Attaches a [`Tracer`]: every exploration started from this explorer
-    /// and every verdict check taking it by reference emits phase events
-    /// through it. A per-run override is available on the builder
+    /// Attaches a [`Tracer`]: every exploration and check started from
+    /// this explorer, and every witness replayed against it, emits its
+    /// events through it. A per-run override is available on the builder
     /// ([`Exploration::trace`]).
     #[must_use]
     pub fn with_trace(mut self, tracer: Tracer) -> Self {
@@ -1052,9 +1014,9 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     }
 
     /// Attaches a live-metrics [`Registry`]: every exploration started
-    /// from this explorer (including the ones the `verdict_*` helpers run
-    /// internally) publishes its live counters and gauges there, exactly
-    /// as if [`Exploration::registry`] had been called on each builder.
+    /// from this explorer (checks included) publishes its live counters
+    /// and gauges there, exactly as if [`Exploration::registry`] had been
+    /// called on each builder.
     #[must_use]
     pub fn with_registry(mut self, registry: Registry) -> Self {
         self.registry = Some(registry);
@@ -1202,10 +1164,21 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     ///
     /// This is the single entry point to the engine: configure the run with
     /// the builder, then finish with [`Exploration::run`] for the raw graph
-    /// or a `check_*` terminal for a [`Verdict`](crate::Verdict) under the
-    /// chosen [`Strategy`].
+    /// or a checking terminal ([`Exploration::check_consensus`],
+    /// [`Exploration::check_k_set_agreement`], [`Exploration::check_dac`],
+    /// [`Exploration::check_wait_free`]) for a [`Verdict`](crate::Verdict).
     pub fn exploration(&self) -> Exploration<'_, 'a, P> {
-        Exploration::builder(self)
+        Exploration {
+            explorer: self,
+            from: None,
+            options: ExploreOptions::default(),
+            on_progress: None,
+            symmetry: None,
+            tracer: None,
+            sample: None,
+            registry: self.registry.clone(),
+            progress_every: None,
+        }
     }
 
     /// The engine: builds the execution graph reachable from `initial`.
@@ -2378,8 +2351,9 @@ pub struct StepRecord<L> {
 /// A fluent, configured exploration run: the single front door to the
 /// engine.
 ///
-/// Build one with [`Explorer::exploration`] (or [`Exploration::builder`]),
-/// chain the knobs you need, then [`Exploration::run`]:
+/// Build one with [`Explorer::exploration`], chain the knobs you need,
+/// then finish with [`Exploration::run`] for the graph or with a checking
+/// terminal for a [`Verdict`](crate::Verdict) (see [`crate::verdict`]):
 ///
 /// ```ignore
 /// let graph = explorer
@@ -2398,60 +2372,50 @@ pub struct Exploration<'e, 'a, P: Protocol> {
     on_progress: Option<ProgressCallback<'e>>,
     symmetry: Option<ConfigSymmetry<'a, P::LocalState>>,
     tracer: Option<Tracer>,
-    strategy: Strategy,
+    sample: Option<SampleConfig>,
     registry: Option<Registry>,
     progress_every: Option<Duration>,
 }
 
-/// What a `check_*` terminal (see [`crate::verdict`]) needs from a
-/// consumed builder: the graph is only built for the exhaustive strategy,
-/// and the symmetry handle survives the run so reduced-graph violations
-/// can be de-canonicalized.
+/// What a checking terminal (see [`crate::verdict`]) needs from a
+/// consumed builder: the graph is only built when no sampling sweep was
+/// asked for, and the symmetry handle survives the run so reduced-graph
+/// violations can be de-canonicalized.
 pub(crate) struct CheckParts<'e, 'a, P: Protocol> {
     pub explorer: &'e Explorer<'a, P>,
     pub tracer: Tracer,
-    pub strategy: Strategy,
     pub symmetry: Option<ConfigSymmetry<'a, P::LocalState>>,
-    pub graph: Option<Result<ExplorationGraph<P::LocalState>, RuntimeError>>,
+    pub run: CheckRun<P::LocalState>,
     /// Live-metrics handles, present when the builder opted into a
-    /// registry or progress streaming. Exhaustive strategies consume them
+    /// registry or progress streaming. An exhaustive run consumes them
     /// inside [`Exploration::run_for_check`]; sampling hands them to the
     /// verdict layer, whose sweep does the actual work.
     pub live: Option<LiveMetrics>,
-    /// The builder's progress cadence, for strategies (sampling) whose
-    /// work runs after `run_for_check` returns.
+    /// The builder's progress cadence, for a sampling sweep, whose work
+    /// runs after `run_for_check` returns.
     pub progress_every: Option<Duration>,
 }
 
+/// What [`Exploration::run_for_check`] did for a checking terminal.
+pub(crate) enum CheckRun<L> {
+    /// Explored exhaustively: the graph, or the step error that stopped it.
+    Explored(Box<Result<ExplorationGraph<L>, RuntimeError>>),
+    /// Ran nothing: the terminal samples with this configuration.
+    Sample(SampleConfig),
+}
+
 impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
-    /// Starts a builder over `explorer` with default options: the initial
-    /// configuration, [`Limits::default`], automatic thread count, no
-    /// progress callback.
-    pub fn builder(explorer: &'e Explorer<'a, P>) -> Self {
-        Exploration {
-            explorer,
-            from: None,
-            options: ExploreOptions::default(),
-            on_progress: None,
-            symmetry: None,
-            tracer: None,
-            strategy: Strategy::default(),
-            registry: explorer.registry.clone(),
-            progress_every: None,
-        }
-    }
-
-    /// Selects how the `check_*` terminals quantify over executions (see
-    /// [`Strategy`]). [`Exploration::run`] always explores exhaustively —
-    /// a graph of sampled runs would be a contradiction in terms — so this
-    /// only affects the checking terminals.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Shorthand for `.strategy(Strategy::Sample(config))`: the `check_*`
-    /// terminals run a seeded sampling sweep instead of exploring.
+    /// Makes the checking terminals run a seeded sampling sweep (see
+    /// [`crate::sampling`]) instead of exploring. Sampling reaches instances
+    /// far beyond the exhaustive frontier but cannot prove a property: a
+    /// clean sweep answers [`Outcome::HoldsSampled`](crate::Outcome::HoldsSampled)
+    /// with a Clopper–Pearson confidence bound, never
+    /// [`Outcome::Holds`](crate::Outcome::Holds), and violations come back
+    /// as replayable, `confirm()`-able [`Witness`](crate::Witness)es. The
+    /// verdict and any violating seed are independent of the worker thread
+    /// count. Only k-set agreement (and consensus) can be sampled; see
+    /// [`Exploration::check_dac`]. [`Exploration::run`] ignores this — a
+    /// graph of sampled runs would be a contradiction in terms.
     ///
     /// ```ignore
     /// let verdict = explorer
@@ -2464,8 +2428,9 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     ///     _ => unreachable!(),
     /// }
     /// ```
-    pub fn sample(self, config: SampleConfig) -> Self {
-        self.strategy(Strategy::Sample(config))
+    pub fn sample(mut self, config: SampleConfig) -> Self {
+        self.sample = Some(config);
+        self
     }
 
     /// Sets the resource limits (see [`Limits`]).
@@ -2485,13 +2450,6 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// [`ExploreOptions::threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = threads;
-        self
-    }
-
-    /// Replaces both limits and thread count with a prebuilt
-    /// [`ExploreOptions`].
-    pub fn options(mut self, options: ExploreOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -2522,7 +2480,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// (see [`crate::symmetry`]), and witnesses extracted from a reduced
     /// graph must be de-canonicalized through
     /// [`crate::symmetry::Concretizer`] before replay on the raw system —
-    /// the `*_reduced` entry points in [`crate::verdict`] do exactly that.
+    /// the checking terminals (see [`crate::verdict`]) do exactly that.
     pub fn symmetric(mut self) -> Self
     where
         P: Symmetry,
@@ -2658,10 +2616,10 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
         result
     }
 
-    /// Consumes the builder for a `check_*` terminal: runs the engine when
-    /// the strategy is exhaustive (sampling builds no graph) and hands the
-    /// verdict layer the pieces [`run`](Exploration::run) would otherwise
-    /// drop — the effective tracer and the symmetry handle.
+    /// Consumes the builder for a checking terminal: runs the engine unless
+    /// a sampling sweep was asked for (sampling builds no graph) and hands
+    /// the verdict layer the pieces [`run`](Exploration::run) would
+    /// otherwise drop — the effective tracer and the symmetry handle.
     pub(crate) fn run_for_check(mut self) -> CheckParts<'e, 'a, P> {
         let explorer = self.explorer;
         let tracer = self
@@ -2670,18 +2628,21 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
             .unwrap_or_else(|| explorer.tracer.clone());
         let symmetry = self.symmetry.take();
         let live = self.live_metrics();
-        let graph = match self.strategy {
+        let run = match self.sample {
             // Sampling runs inside the verdict layer — the live handles
             // and cadence ride along in the returned parts.
-            Strategy::Sample(_) => None,
-            Strategy::Exhaustive => Some(self.explore(&tracer, symmetry.as_ref(), live.as_ref())),
+            Some(config) => CheckRun::Sample(config),
+            None => CheckRun::Explored(Box::new(self.explore(
+                &tracer,
+                symmetry.as_ref(),
+                live.as_ref(),
+            ))),
         };
         CheckParts {
             explorer,
             tracer,
-            strategy: self.strategy,
             symmetry,
-            graph,
+            run,
             live,
             progress_every: self.progress_every,
         }
@@ -2997,10 +2958,11 @@ mod tests {
     fn auto_thread_count_resolves_positive() {
         let options = ExploreOptions::default();
         assert!(options.resolved_threads() >= 1);
-        assert_eq!(
-            ExploreOptions::default().with_threads(3).resolved_threads(),
-            3
-        );
+        let pinned = ExploreOptions {
+            threads: 3,
+            ..ExploreOptions::default()
+        };
+        assert_eq!(pinned.resolved_threads(), 3);
     }
 
     #[test]
@@ -3136,12 +3098,7 @@ mod tests {
         assert!(
             reference.same_structure(&ex.exploration().limits(Limits::default()).run().unwrap())
         );
-        assert!(reference.same_structure(
-            &ex.exploration()
-                .options(ExploreOptions::default())
-                .run()
-                .unwrap()
-        ));
+        assert!(reference.same_structure(&ex.exploration().threads(0).run().unwrap()));
         assert!(reference.same_structure(
             &ex.exploration()
                 .from(ex.initial_config())
@@ -3152,7 +3109,7 @@ mod tests {
         assert!(reference.same_structure(
             &ex.exploration()
                 .from(ex.initial_config())
-                .options(ExploreOptions::default())
+                .threads(0)
                 .run()
                 .unwrap()
         ));

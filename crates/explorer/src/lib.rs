@@ -18,9 +18,6 @@
 //!   find cycles of undecided configurations. A reachable cycle in which a
 //!   process keeps stepping without deciding is a *machine-checkable
 //!   certificate* that the protocol violates wait-free termination.
-//! * [`checker`] — whole-execution-space verification of the problems in the
-//!   paper: consensus, k-set agreement, and the n-DAC problem with its four
-//!   properties (Agreement, Validity, Termination (a)/(b), Nontriviality).
 //! * [`linearizability`] — a Wing–Gold linearizability checker for the
 //!   concurrent front-end histories produced by
 //!   [`lbsa_runtime::derived::record_frontend_history`], used to validate
@@ -29,11 +26,16 @@
 //!   exhaustive frontier: a parallel, seed-sharded sweep whose verdicts are
 //!   thread-count independent, with safety checked on every sampled run and
 //!   violations returned with their reproducing seed. First-class via
-//!   [`explore::Strategy::Sample`] on the [`Exploration`] builder.
-//! * [`verdict`] — the structured reporting layer over the checkers: every
-//!   property check yields a typed [`verdict::Verdict`] whose counterexample
-//!   [`verdict::Witness`] is a replayable, delta-minimized schedule that can
-//!   be deterministically re-executed to confirm the violation.
+//!   [`Exploration::sample`] on the builder.
+//! * [`verdict`] — whole-execution-space verification of the problems in
+//!   the paper, through four terminals of the [`Exploration`] builder:
+//!   [`Exploration::check_consensus`], [`Exploration::check_k_set_agreement`],
+//!   [`Exploration::check_dac`] (the n-DAC problem with its four properties:
+//!   Agreement, Validity, Termination (a)/(b), Nontriviality) and
+//!   [`Exploration::check_wait_free`]. Every check yields a typed
+//!   [`verdict::Verdict`] whose counterexample [`verdict::Witness`] is a
+//!   replayable, delta-minimized schedule that can be deterministically
+//!   re-executed to confirm the violation.
 //! * [`error`] — the unified [`error::CheckError`] hierarchy that verdicts
 //!   carry as a structured cause.
 
@@ -41,7 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
-pub mod checker;
+mod checker;
 pub mod config;
 pub mod error;
 pub mod explore;
@@ -56,9 +58,7 @@ pub mod verdict;
 
 pub use config::Configuration;
 pub use error::CheckError;
-pub use explore::{
-    Exploration, ExplorationGraph, ExploreOptions, Explorer, Limits, StepRecord, Strategy,
-};
+pub use explore::{Exploration, ExplorationGraph, ExploreOptions, Explorer, Limits, StepRecord};
 pub use lbsa_support::obs::{
     Counter, Gauge, JsonlSink, MemorySink, Registry, StderrSink, TraceSink, Tracer,
 };
@@ -71,4 +71,4 @@ pub use stats::{
 };
 pub use symmetry::{Concretizer, ConfigSymmetry};
 pub use valency::{Valence, ValencyAnalysis};
-pub use verdict::{Outcome, Verdict, Witness};
+pub use verdict::{CheckStats, DacInstance, Outcome, Verdict, Violation, Witness};

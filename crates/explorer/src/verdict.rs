@@ -1,11 +1,11 @@
 //! Typed verdicts with replayable, minimized counterexample witnesses.
 //!
-//! The checkers in [`crate::checker`] answer with `Result<CheckStats,
-//! Violation>` — enough to know *that* a property failed, but not to hand
-//! anyone evidence. This module is the reporting layer on top: every check
-//! returns a [`Verdict`] whose negative answers carry a [`Witness`] — a
-//! schedule (pid + chosen object outcome per step, the same labelling as
-//! [`crate::explore::Edge`]) that
+//! Every property check is a terminal of the [`Exploration`] builder, one
+//! per property: [`Exploration::check_consensus`],
+//! [`Exploration::check_k_set_agreement`], [`Exploration::check_dac`] and
+//! [`Exploration::check_wait_free`]. Each returns a [`Verdict`] whose
+//! negative answers carry a [`Witness`] — a schedule (pid + chosen object
+//! outcome per step, the same labelling as [`crate::explore::Edge`]) that
 //!
 //! 1. **replays deterministically**: [`Witness::replay`] re-executes it step
 //!    by step through [`crate::explore::Explorer::step`], rebuilding the
@@ -24,42 +24,35 @@
 //!
 //! # Symmetry-reduced checking
 //!
-//! For protocols implementing [`lbsa_runtime::process::Symmetry`], the
-//! `*_reduced` entry points ([`verdict_consensus_reduced`],
-//! [`verdict_k_set_agreement_reduced`], [`verdict_dac_reduced`],
-//! [`verdict_wait_free_reduced`]) explore the **quotient** graph (one
-//! canonical representative per orbit, see [`crate::symmetry`]) and run the
-//! same checkers on it — sound because every checked predicate is
-//! orbit-invariant. Counterexample schedules extracted from the quotient
-//! graph are **de-canonicalized** through a [`Concretizer`] into real
-//! executions before the witness is built, so [`Witness::replay`] and
-//! [`Witness::confirm`] work on the raw, unreduced system exactly as for
-//! unreduced verdicts.
+//! After [`Exploration::symmetric`] (for protocols implementing
+//! [`lbsa_runtime::process::Symmetry`]), a terminal explores the
+//! **quotient** graph (one canonical representative per orbit, see
+//! [`crate::symmetry`]) and runs the same checks on it — sound because
+//! every checked predicate is orbit-invariant. Counterexample schedules
+//! extracted from the quotient graph are **de-canonicalized** through a
+//! [`Concretizer`] into real executions before the witness is built, so
+//! [`Witness::replay`] and [`Witness::confirm`] work on the raw, unreduced
+//! system exactly as for unreduced verdicts.
 
-use crate::checker::{
-    check_dac_graph, check_k_set_agreement_graph, solo_decides, solo_terminates, CheckStats,
-    DacInstance, Violation,
-};
+use crate::checker;
+pub use crate::checker::{CheckStats, DacInstance, Violation};
 use crate::config::Configuration;
 use crate::error::CheckError;
-use crate::explore::{Edge, Exploration, ExplorationGraph, Explorer, Limits, Strategy};
-use crate::linearizability::{check_linearizable, LinearizabilityError};
-use crate::live::{EtaModel, LiveMetrics, ProgressWatcher};
+use crate::explore::{CheckParts, CheckRun, Edge, Exploration, ExplorationGraph, Explorer};
+use crate::live::{EtaModel, ProgressWatcher};
 use crate::sampling::{
     sample_confidence, sample_k_set_agreement_live, SampleConfig, SampleViolation, OUTCOME_SEED_XOR,
 };
 use crate::symmetry::{Concretizer, ConfigSymmetry};
 use lbsa_core::spec::ObjectSpec;
-use lbsa_core::{AnyObject, Pid, Value};
-use lbsa_runtime::derived::CompletedOp;
+use lbsa_core::{Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::outcome::{OutcomeResolver, RandomOutcome};
-use lbsa_runtime::process::{ProcStatus, Protocol, Symmetry};
+use lbsa_runtime::process::{ProcStatus, Protocol};
 use lbsa_runtime::scheduler::{RandomScheduler, Scheduler};
 use lbsa_runtime::trace::{Trace, TraceEvent};
 use lbsa_support::json::Json;
 use lbsa_support::obs::Tracer;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// One step of a replayable schedule: which process moves and which
@@ -202,9 +195,9 @@ impl WitnessKind {
                     return Ok(Some(false));
                 }
                 let ok = if *must_decide {
-                    solo_decides(explorer, config, *pid, *bound)?
+                    checker::solo_decides(explorer, config, *pid, *bound)?
                 } else {
-                    solo_terminates(explorer, config, *pid, *bound)?
+                    checker::solo_terminates(explorer, config, *pid, *bound)?
                 };
                 Ok(Some(!ok))
             }
@@ -561,21 +554,15 @@ impl fmt::Display for Verdict {
     }
 }
 
-fn graph_stats<L>(graph: &ExplorationGraph<L>) -> CheckStats {
-    CheckStats {
-        configs: graph.configs.len(),
-        transitions: graph.transitions,
-    }
-}
-
 const EMPTY_STATS: CheckStats = CheckStats {
     configs: 0,
     transitions: 0,
 };
 
 /// Emits the end-of-check `verdict` trace event and passes the verdict
-/// through. Every public `verdict_*` entry point routes its result here
-/// exactly once, so a traced run shows one `verdict` line per check.
+/// through. Every checking terminal routes its result here exactly once,
+/// so a traced run shows one `verdict` line per check, named after the
+/// property it decides.
 fn traced(tracer: &Tracer, check: &'static str, verdict: Verdict) -> Verdict {
     tracer.emit_with("verdict", || {
         Json::object()
@@ -594,121 +581,200 @@ fn traced(tracer: &Tracer, check: &'static str, verdict: Verdict) -> Verdict {
     verdict
 }
 
-/// Explores and checks consensus, returning a verdict with a minimized
-/// witness on violation.
-#[must_use]
-pub fn verdict_consensus<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Verdict {
-    verdict_k_set_agreement(explorer, 1, valid_inputs, limits)
+/// The property a checking terminal decides, with its parameters.
+enum Property<'p> {
+    KSetAgreement {
+        k: usize,
+        valid: &'p [Value],
+    },
+    Dac {
+        instance: &'p DacInstance,
+        solo_bound: usize,
+    },
+    WaitFree,
 }
 
-/// Explores and checks k-set agreement, returning a verdict with a
-/// minimized witness on violation.
-#[must_use]
-pub fn verdict_k_set_agreement<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    k: usize,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Verdict {
-    let graph = match explorer.exploration().limits(limits).run() {
-        Ok(g) => g,
-        Err(e) => {
-            return traced(
-                explorer.tracer(),
-                "k-set-agreement",
-                Verdict::error(EMPTY_STATS, e.into()),
-            )
+impl Property<'_> {
+    /// The check's name in the `verdict` trace event.
+    fn name(&self) -> &'static str {
+        match self {
+            Property::KSetAgreement { .. } => "k-set-agreement",
+            Property::Dac { .. } => "dac",
+            Property::WaitFree => "wait-free",
         }
-    };
-    verdict_k_set_agreement_graph(explorer, &graph, k, valid_inputs)
-}
+    }
 
-/// Checks k-set agreement over an already-built graph, returning a verdict
-/// with a minimized witness on violation.
-#[must_use]
-pub fn verdict_k_set_agreement_graph<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    graph: &ExplorationGraph<P::LocalState>,
-    k: usize,
-    valid_inputs: &[Value],
-) -> Verdict {
-    let stats = graph_stats(graph);
-    let verdict = match check_k_set_agreement_graph(graph, k, valid_inputs) {
-        Ok(stats) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(violation) => {
-            let kind = k_set_kind(&violation, k, valid_inputs);
-            violation_verdict(explorer, graph, violation, stats, kind)
+    /// Decides the property over a graph of `explorer`'s protocol.
+    fn check<P: Protocol>(
+        &self,
+        explorer: &Explorer<'_, P>,
+        graph: &ExplorationGraph<P::LocalState>,
+    ) -> Result<CheckStats, Violation> {
+        match self {
+            Property::KSetAgreement { k, valid } => checker::k_set_agreement(graph, *k, valid),
+            Property::Dac {
+                instance,
+                solo_bound,
+            } => checker::dac(explorer, graph, instance, *solo_bound),
+            Property::WaitFree => checker::wait_free(graph),
         }
-    };
-    traced(explorer.tracer(), "k-set-agreement", verdict)
-}
+    }
 
-/// The re-checkable [`WitnessKind`] of a k-set-agreement violation.
-fn k_set_kind(violation: &Violation, k: usize, valid_inputs: &[Value]) -> Option<WitnessKind> {
-    match violation {
-        Violation::Agreement { .. } => Some(WitnessKind::Agreement { k }),
-        Violation::Validity { .. } => Some(WitnessKind::Validity {
-            valid: valid_inputs.to_vec(),
-        }),
-        Violation::UndecidedTerminal { .. } => Some(WitnessKind::UndecidedTerminal),
-        _ => None,
+    /// The re-checkable [`WitnessKind`] of a violation of this property,
+    /// when it has one (a non-termination witness derives its own).
+    fn witness_kind(&self, violation: &Violation) -> Option<WitnessKind> {
+        Some(match (self, violation) {
+            (_, Violation::UndecidedTerminal { .. }) => WitnessKind::UndecidedTerminal,
+            (Property::KSetAgreement { k, .. }, Violation::Agreement { .. }) => {
+                WitnessKind::Agreement { k: *k }
+            }
+            (Property::KSetAgreement { valid, .. }, Violation::Validity { .. }) => {
+                WitnessKind::Validity {
+                    valid: valid.to_vec(),
+                }
+            }
+            (Property::Dac { .. }, Violation::Agreement { .. }) => WitnessKind::Agreement { k: 1 },
+            (Property::Dac { instance, .. }, Violation::Validity { .. }) => {
+                WitnessKind::DacValidity {
+                    inputs: instance.inputs.clone(),
+                }
+            }
+            (
+                Property::Dac {
+                    instance,
+                    solo_bound,
+                },
+                Violation::SoloNonTermination { pid, .. },
+            ) => WitnessKind::SoloNonTermination {
+                pid: *pid,
+                bound: *solo_bound,
+                must_decide: *pid != instance.distinguished,
+            },
+            (Property::Dac { instance, .. }, Violation::Nontriviality { .. }) => {
+                WitnessKind::Nontriviality {
+                    distinguished: instance.distinguished,
+                }
+            }
+            _ => return None,
+        })
     }
 }
 
-/// Checks k-set agreement by sampling (see [`crate::sampling`]) instead of
-/// exhaustive exploration, returning a verdict whose positive outcome is
-/// [`Outcome::HoldsSampled`] with a confidence bound and whose violations
-/// carry the same minimized, [`Witness::confirm`]-able witnesses as
-/// exhaustive checks — the violating seed is replayed into a
-/// [`ScheduleStep`] schedule and delta-minimized. The verdict (and any
-/// violating seed) is independent of `config.threads`.
-#[must_use]
-pub fn verdict_k_set_agreement_sampled<P: Protocol>(
-    explorer: &Explorer<'_, P>,
+/// The checking terminals of the [`Exploration`] builder: one per
+/// property, each consuming the builder and answering with one
+/// [`Verdict`]. A terminal explores exhaustively, respecting every builder
+/// knob (limits, threads, symmetry, tracer), unless
+/// [`Exploration::sample`] asked for a seeded sampling sweep. Either way
+/// the verdict's violations carry replayable, minimized witnesses.
+impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
+    /// Checks consensus (`k = 1`); see
+    /// [`Exploration::check_k_set_agreement`].
+    #[must_use]
+    pub fn check_consensus(self, valid_inputs: &[Value]) -> Verdict {
+        self.check_k_set_agreement(1, valid_inputs)
+    }
+
+    /// Checks k-set agreement: at most `k` distinct decisions in any
+    /// configuration, every decision in `valid_inputs`, and wait-free
+    /// termination (see [`Exploration::check_wait_free`]). After
+    /// [`Exploration::sample`] the positive outcome is
+    /// [`Outcome::HoldsSampled`] with a confidence bound, and the verdict
+    /// (and any violating seed) is independent of the thread count.
+    #[must_use]
+    pub fn check_k_set_agreement(self, k: usize, valid_inputs: &[Value]) -> Verdict {
+        self.check(&Property::KSetAgreement {
+            k,
+            valid: valid_inputs,
+        })
+    }
+
+    /// Checks the four n-DAC properties of Section 4 over every execution:
+    /// Agreement, Validity (every decision is the input of a process that
+    /// has not aborted), Termination (a)/(b) (from every reachable
+    /// configuration, a solo run of `p` stops and a solo run of each
+    /// `q ≠ p` decides within `solo_bound` of its own steps), and
+    /// Nontriviality (`p` never aborts before another process has
+    /// stepped). Exhaustive only: after [`Exploration::sample`] the
+    /// verdict is an [`Outcome::Error`] carrying
+    /// [`CheckError::NotSampleable`].
+    #[must_use]
+    pub fn check_dac(self, instance: &DacInstance, solo_bound: usize) -> Verdict {
+        self.check(&Property::Dac {
+            instance,
+            solo_bound,
+        })
+    }
+
+    /// Checks wait-free termination alone: no infinite execution (the
+    /// witness is a pumpable cycle), and every terminal configuration
+    /// fully decided. Exhaustive only, like [`Exploration::check_dac`].
+    #[must_use]
+    pub fn check_wait_free(self) -> Verdict {
+        self.check(&Property::WaitFree)
+    }
+
+    fn check(self, property: &Property<'_>) -> Verdict {
+        let parts = self.run_for_check();
+        let verdict = match (&parts.run, property) {
+            (CheckRun::Explored(explored), _) => match &**explored {
+                Err(e) => Verdict::error(EMPTY_STATS, e.clone().into()),
+                Ok(graph) => match property.check(parts.explorer, graph) {
+                    Ok(stats) => Verdict {
+                        outcome: Outcome::Holds,
+                        stats,
+                        witness: None,
+                    },
+                    Err(violation) => {
+                        let kind = property.witness_kind(&violation);
+                        let sym = parts.symmetry.as_ref();
+                        violation_verdict(parts.explorer, sym, graph, violation, kind)
+                    }
+                },
+            },
+            (CheckRun::Sample(config), Property::KSetAgreement { k, valid }) => {
+                return sampled_verdict(&parts, *k, valid, *config);
+            }
+            (CheckRun::Sample(_), _) => Verdict::error(
+                EMPTY_STATS,
+                CheckError::NotSampleable {
+                    check: property.name(),
+                },
+            ),
+        };
+        traced(&parts.tracer, property.name(), verdict)
+    }
+}
+
+/// Checks k-set agreement by a seeded sampling sweep (see
+/// [`crate::sampling`]): the positive outcome is [`Outcome::HoldsSampled`]
+/// with a confidence bound, and a violating seed is replayed into a
+/// [`ScheduleStep`] schedule and delta-minimized into the same
+/// [`Witness::confirm`]-able witness as exhaustive checks. The progress
+/// watcher, when asked for, brackets the sweep and its `verdict` event.
+fn sampled_verdict<P: Protocol>(
+    parts: &CheckParts<'_, '_, P>,
     k: usize,
     valid_inputs: &[Value],
     config: SampleConfig,
 ) -> Verdict {
-    verdict_k_set_agreement_sampled_with(explorer, k, valid_inputs, config, explorer.tracer(), None)
-}
-
-/// Sampled consensus check (`k = 1`); see
-/// [`verdict_k_set_agreement_sampled`].
-#[must_use]
-pub fn verdict_consensus_sampled<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    valid_inputs: &[Value],
-    config: SampleConfig,
-) -> Verdict {
-    verdict_k_set_agreement_sampled(explorer, 1, valid_inputs, config)
-}
-
-/// [`verdict_k_set_agreement_sampled`] against an explicit tracer — the
-/// builder terminals route their per-run tracer override here.
-fn verdict_k_set_agreement_sampled_with<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    k: usize,
-    valid_inputs: &[Value],
-    config: SampleConfig,
-    tracer: &Tracer,
-    live: Option<&LiveMetrics>,
-) -> Verdict {
+    let watcher = match (parts.progress_every, &parts.live) {
+        (Some(period), Some(live)) if parts.tracer.enabled() => Some(ProgressWatcher::spawn(
+            live.clone(),
+            parts.tracer.clone(),
+            period,
+            EtaModel::Sampling,
+        )),
+        _ => None,
+    };
+    let explorer = parts.explorer;
     let verdict = match sample_k_set_agreement_live(
         explorer.protocol(),
         explorer.objects(),
         k,
         valid_inputs,
         config,
-        tracer,
-        live,
+        &parts.tracer,
+        parts.live.as_ref(),
     ) {
         Ok(report) => Verdict {
             outcome: Outcome::HoldsSampled {
@@ -725,7 +791,11 @@ fn verdict_k_set_agreement_sampled_with<P: Protocol>(
         },
         Err(violation) => sampled_violation_verdict(explorer, k, valid_inputs, config, violation),
     };
-    traced(tracer, "k-set-agreement-sampled", verdict)
+    let verdict = traced(&parts.tracer, "k-set-agreement", verdict);
+    if let Some(watcher) = watcher {
+        watcher.finish();
+    }
+    verdict
 }
 
 /// Builds the `Violated` verdict for a sampling violation: replays the
@@ -821,431 +891,33 @@ fn sampled_schedule<P: Protocol>(
     Ok(schedule)
 }
 
-/// The checking terminals of the [`Exploration`] builder: one fluent API,
-/// one [`Verdict`], under either [`Strategy`].
-impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
-    /// Consumes the builder and checks k-set agreement under the
-    /// configured [`Strategy`]: exhaustive exploration (respecting every
-    /// builder knob — limits, threads, symmetry, tracer) by
-    /// default, or a seeded sampling sweep after
-    /// [`Exploration::sample`]. Either way the verdict's violations carry
-    /// replayable, minimized witnesses.
-    #[must_use]
-    pub fn check_k_set_agreement(self, k: usize, valid_inputs: &[Value]) -> Verdict {
-        let parts = self.run_for_check();
-        match parts.strategy {
-            Strategy::Sample(config) => {
-                // The sweep runs here, not in `run_for_check`, so the
-                // progress watcher brackets it from the verdict layer.
-                let watcher = match (parts.progress_every, &parts.live) {
-                    (Some(period), Some(live)) if parts.tracer.enabled() => {
-                        Some(ProgressWatcher::spawn(
-                            live.clone(),
-                            parts.tracer.clone(),
-                            period,
-                            EtaModel::Sampling,
-                        ))
-                    }
-                    _ => None,
-                };
-                let verdict = verdict_k_set_agreement_sampled_with(
-                    parts.explorer,
-                    k,
-                    valid_inputs,
-                    config,
-                    &parts.tracer,
-                    parts.live.as_ref(),
-                );
-                if let Some(watcher) = watcher {
-                    watcher.finish();
-                }
-                verdict
-            }
-            Strategy::Exhaustive => {
-                let graph = match parts.graph.expect("exhaustive checks build a graph") {
-                    Ok(g) => g,
-                    Err(e) => {
-                        return traced(
-                            &parts.tracer,
-                            "k-set-agreement",
-                            Verdict::error(EMPTY_STATS, e.into()),
-                        )
-                    }
-                };
-                let stats = graph_stats(&graph);
-                let verdict = match check_k_set_agreement_graph(&graph, k, valid_inputs) {
-                    Ok(stats) => Verdict {
-                        outcome: Outcome::Holds,
-                        stats,
-                        witness: None,
-                    },
-                    Err(violation) => {
-                        let kind = k_set_kind(&violation, k, valid_inputs);
-                        match &parts.symmetry {
-                            Some(sym) => violation_verdict_reduced(
-                                parts.explorer,
-                                sym,
-                                &graph,
-                                violation,
-                                stats,
-                                kind,
-                            ),
-                            None => {
-                                violation_verdict(parts.explorer, &graph, violation, stats, kind)
-                            }
-                        }
-                    }
-                };
-                traced(&parts.tracer, "k-set-agreement", verdict)
-            }
-        }
-    }
-
-    /// Consumes the builder and checks consensus (`k = 1`); see
-    /// [`Exploration::check_k_set_agreement`].
-    #[must_use]
-    pub fn check_consensus(self, valid_inputs: &[Value]) -> Verdict {
-        self.check_k_set_agreement(1, valid_inputs)
-    }
-}
-
-/// The re-checkable [`WitnessKind`] of an n-DAC violation.
-fn dac_kind(
-    violation: &Violation,
-    instance: &DacInstance,
-    solo_bound: usize,
-) -> Option<WitnessKind> {
-    match violation {
-        Violation::Agreement { .. } => Some(WitnessKind::Agreement { k: 1 }),
-        Violation::Validity { .. } => Some(WitnessKind::DacValidity {
-            inputs: instance.inputs.clone(),
-        }),
-        Violation::UndecidedTerminal { .. } => Some(WitnessKind::UndecidedTerminal),
-        Violation::SoloNonTermination { pid, .. } => Some(WitnessKind::SoloNonTermination {
-            pid: *pid,
-            bound: solo_bound,
-            must_decide: *pid != instance.distinguished,
-        }),
-        Violation::Nontriviality { .. } => Some(WitnessKind::Nontriviality {
-            distinguished: instance.distinguished,
-        }),
-        _ => None,
-    }
-}
-
-/// Explores and checks the four n-DAC properties, returning a verdict with
-/// a minimized witness on violation.
-#[must_use]
-pub fn verdict_dac<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    instance: &DacInstance,
-    limits: Limits,
-    solo_bound: usize,
-) -> Verdict {
-    let graph = match explorer.exploration().limits(limits).run() {
-        Ok(g) => g,
-        Err(e) => {
-            return traced(
-                explorer.tracer(),
-                "dac",
-                Verdict::error(EMPTY_STATS, e.into()),
-            )
-        }
-    };
-    verdict_dac_graph(explorer, &graph, instance, solo_bound)
-}
-
-/// Checks the four n-DAC properties over an already-built graph, returning
-/// a verdict with a minimized witness on violation. Use this to check a
-/// graph explored under non-default options — e.g. a run that recruited
-/// the work-stealing pool, whose graph is the sequential one.
-#[must_use]
-pub fn verdict_dac_graph<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    graph: &ExplorationGraph<P::LocalState>,
-    instance: &DacInstance,
-    solo_bound: usize,
-) -> Verdict {
-    let stats = graph_stats(graph);
-    let verdict = match check_dac_graph(explorer, graph, instance, solo_bound) {
-        Ok(stats) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(violation) => {
-            let kind = dac_kind(&violation, instance, solo_bound);
-            violation_verdict(explorer, graph, violation, stats, kind)
-        }
-    };
-    traced(explorer.tracer(), "dac", verdict)
-}
-
-/// Explores and checks wait-free termination alone (no infinite execution,
-/// every terminal configuration fully decided), returning a verdict whose
-/// witness is a pumpable cycle on violation.
-#[must_use]
-pub fn verdict_wait_free<P: Protocol>(explorer: &Explorer<'_, P>, limits: Limits) -> Verdict {
-    let verdict = wait_free_verdict(explorer, limits);
-    traced(explorer.tracer(), "wait-free", verdict)
-}
-
-fn wait_free_verdict<P: Protocol>(explorer: &Explorer<'_, P>, limits: Limits) -> Verdict {
-    let graph = match explorer.exploration().limits(limits).run() {
-        Ok(g) => g,
-        Err(e) => return Verdict::error(EMPTY_STATS, e.into()),
-    };
-    let stats = graph_stats(&graph);
-    if !graph.complete {
-        return Verdict {
-            outcome: Outcome::Truncated,
-            stats,
-            witness: None,
-        };
-    }
-    if let Some(w) = crate::adversary::find_nontermination(&graph) {
-        let violation = Violation::NonTermination(w);
-        return violation_verdict(explorer, &graph, violation, stats, None);
-    }
-    for idx in graph.terminal_indices() {
-        if !graph.configs[idx].all_decided() {
-            return violation_verdict(
-                explorer,
-                &graph,
-                Violation::UndecidedTerminal { config: idx },
-                stats,
-                Some(WitnessKind::UndecidedTerminal),
-            );
-        }
-    }
-    Verdict {
-        outcome: Outcome::Holds,
-        stats,
-        witness: None,
-    }
-}
-
-/// [`verdict_consensus`] over the symmetry-reduced (quotient) graph: the
-/// exploration deduplicates on canonical orbit representatives, and any
-/// counterexample is de-canonicalized into a real execution before the
-/// witness is built.
-#[must_use]
-pub fn verdict_consensus_reduced<P>(
-    explorer: &Explorer<'_, P>,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    verdict_k_set_agreement_reduced(explorer, 1, valid_inputs, limits)
-}
-
-/// [`verdict_k_set_agreement`] over the symmetry-reduced (quotient) graph.
-///
-/// Sound because every checked predicate is orbit-invariant (see
-/// [`crate::symmetry`]); falls back to the unreduced check when the
-/// protocol's declared group is trivial.
-#[must_use]
-pub fn verdict_k_set_agreement_reduced<P>(
-    explorer: &Explorer<'_, P>,
-    k: usize,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    let sym = ConfigSymmetry::of(explorer.protocol());
-    if sym.is_trivial() {
-        return verdict_k_set_agreement(explorer, k, valid_inputs, limits);
-    }
-    let graph = match explorer.exploration().limits(limits).symmetric().run() {
-        Ok(g) => g,
-        Err(e) => {
-            return traced(
-                explorer.tracer(),
-                "k-set-agreement-reduced",
-                Verdict::error(EMPTY_STATS, e.into()),
-            )
-        }
-    };
-    let stats = graph_stats(&graph);
-    let verdict = match check_k_set_agreement_graph(&graph, k, valid_inputs) {
-        Ok(stats) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(violation) => {
-            let kind = k_set_kind(&violation, k, valid_inputs);
-            violation_verdict_reduced(explorer, &sym, &graph, violation, stats, kind)
-        }
-    };
-    traced(explorer.tracer(), "k-set-agreement-reduced", verdict)
-}
-
-/// [`verdict_dac`] over the symmetry-reduced (quotient) graph. The n-DAC
-/// pid-specific predicates (solo termination, Nontriviality of the
-/// distinguished process) stay sound because the [`Symmetry`] contract makes
-/// distinguished roles singleton classes, fixed by every group element.
-#[must_use]
-pub fn verdict_dac_reduced<P>(
-    explorer: &Explorer<'_, P>,
-    instance: &DacInstance,
-    limits: Limits,
-    solo_bound: usize,
-) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    let sym = ConfigSymmetry::of(explorer.protocol());
-    if sym.is_trivial() {
-        return verdict_dac(explorer, instance, limits, solo_bound);
-    }
-    let graph = match explorer.exploration().limits(limits).symmetric().run() {
-        Ok(g) => g,
-        Err(e) => {
-            return traced(
-                explorer.tracer(),
-                "dac-reduced",
-                Verdict::error(EMPTY_STATS, e.into()),
-            )
-        }
-    };
-    let stats = graph_stats(&graph);
-    let verdict = match check_dac_graph(explorer, &graph, instance, solo_bound) {
-        Ok(stats) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(violation) => {
-            let kind = dac_kind(&violation, instance, solo_bound);
-            violation_verdict_reduced(explorer, &sym, &graph, violation, stats, kind)
-        }
-    };
-    traced(explorer.tracer(), "dac-reduced", verdict)
-}
-
-/// [`verdict_wait_free`] over the symmetry-reduced (quotient) graph. A
-/// quotient cycle witnesses real non-termination: the concretized cycle is
-/// pumped until the real configuration repeats (at most `|G|` laps), and the
-/// victims are recomputed on the real cycle.
-#[must_use]
-pub fn verdict_wait_free_reduced<P>(explorer: &Explorer<'_, P>, limits: Limits) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    let sym = ConfigSymmetry::of(explorer.protocol());
-    if sym.is_trivial() {
-        return verdict_wait_free(explorer, limits);
-    }
-    let verdict = wait_free_reduced_verdict(explorer, &sym, limits);
-    traced(explorer.tracer(), "wait-free-reduced", verdict)
-}
-
-fn wait_free_reduced_verdict<P>(
-    explorer: &Explorer<'_, P>,
-    sym: &ConfigSymmetry<'_, P::LocalState>,
-    limits: Limits,
-) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    let graph = match explorer.exploration().limits(limits).symmetric().run() {
-        Ok(g) => g,
-        Err(e) => return Verdict::error(EMPTY_STATS, e.into()),
-    };
-    let stats = graph_stats(&graph);
-    if !graph.complete {
-        return Verdict {
-            outcome: Outcome::Truncated,
-            stats,
-            witness: None,
-        };
-    }
-    if let Some(w) = crate::adversary::find_nontermination(&graph) {
-        let violation = Violation::NonTermination(w);
-        return violation_verdict_reduced(explorer, sym, &graph, violation, stats, None);
-    }
-    for idx in graph.terminal_indices() {
-        if !graph.configs[idx].all_decided() {
-            return violation_verdict_reduced(
-                explorer,
-                sym,
-                &graph,
-                Violation::UndecidedTerminal { config: idx },
-                stats,
-                Some(WitnessKind::UndecidedTerminal),
-            );
-        }
-    }
-    Verdict {
-        outcome: Outcome::Holds,
-        stats,
-        witness: None,
-    }
-}
-
-/// Checks linearizability of a recorded front-end history, returning a
-/// typed verdict. (The history itself is the evidence either way, so no
-/// schedule witness is attached.)
-#[must_use]
-pub fn verdict_linearizable(history: &[CompletedOp], specs: &[AnyObject]) -> Verdict {
-    let stats = CheckStats {
-        configs: history.len(),
-        transitions: 0,
-    };
-    match check_linearizable(history, specs) {
-        Ok(_) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(LinearizabilityError::NotLinearizable { obj }) => Verdict {
-            outcome: Outcome::Violated(Violation::NotLinearizable { obj }),
-            stats,
-            witness: None,
-        },
-        Err(e) => Verdict::error(stats, e.into()),
-    }
-}
-
-/// Builds the `Violated` verdict for `violation`, extracting and
-/// minimizing a witness when `kind` gives the re-checkable predicate.
+/// Builds the verdict for `violation`, found on `graph` — a quotient graph
+/// when `sym` is given — extracting and minimizing a witness when `kind`
+/// gives the re-checkable predicate.
 fn violation_verdict<P: Protocol>(
     explorer: &Explorer<'_, P>,
+    sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
     graph: &ExplorationGraph<P::LocalState>,
     violation: Violation,
-    stats: CheckStats,
     kind: Option<WitnessKind>,
 ) -> Verdict {
-    if matches!(violation, Violation::Truncated) {
-        return Verdict {
-            outcome: Outcome::Truncated,
-            stats,
-            witness: None,
-        };
-    }
-    if let Violation::Runtime(e) = violation {
-        return Verdict::error(stats, e.into());
-    }
+    let stats = checker::stats(graph);
     let witness = match &violation {
-        Violation::NonTermination(w) => nontermination_witness(explorer, graph, w),
+        Violation::Truncated => {
+            return Verdict {
+                outcome: Outcome::Truncated,
+                stats,
+                witness: None,
+            }
+        }
+        Violation::Runtime(e) => return Verdict::error(stats, e.clone().into()),
+        Violation::NonTermination(w) => nontermination_witness(explorer, sym, graph, w),
         Violation::Agreement { config, .. }
         | Violation::Validity { config, .. }
         | Violation::UndecidedTerminal { config }
-        | Violation::SoloNonTermination { config, .. } => {
-            kind.and_then(|kind| state_witness(explorer, graph, *config, kind))
-        }
-        Violation::Nontriviality { config } => {
-            kind.and_then(|kind| nontriviality_witness(explorer, graph, *config, kind))
+        | Violation::SoloNonTermination { config, .. }
+        | Violation::Nontriviality { config } => {
+            kind.and_then(|kind| state_witness(explorer, sym, graph, *config, kind))
         }
         _ => None,
     };
@@ -1256,80 +928,89 @@ fn violation_verdict<P: Protocol>(
     }
 }
 
-/// [`violation_verdict`] for a quotient graph: the same dispatch, but every
-/// witness builder routes its quotient schedule through a [`Concretizer`]
-/// so the emitted witness replays on the raw system.
-fn violation_verdict_reduced<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    sym: &ConfigSymmetry<'_, P::LocalState>,
-    graph: &ExplorationGraph<P::LocalState>,
-    violation: Violation,
-    stats: CheckStats,
-    kind: Option<WitnessKind>,
-) -> Verdict {
-    if matches!(violation, Violation::Truncated) {
-        return Verdict {
-            outcome: Outcome::Truncated,
-            stats,
-            witness: None,
+/// Walks a schedule read off the checked graph as a real execution. On a
+/// raw graph the schedule already is one: the walk is the identity and
+/// only tracks the configuration. On a quotient graph a [`Concretizer`]
+/// de-canonicalizes every step.
+enum Realizer<'e, 'a, 'p, P: Protocol> {
+    Raw(&'e Explorer<'a, P>, Configuration<P::LocalState>),
+    Quotient(Concretizer<'e, 'a, 'p, P>),
+}
+
+impl<'e, 'a, 'p, P: Protocol> Realizer<'e, 'a, 'p, P> {
+    /// Walks `steps` from the initial configuration, returning the real
+    /// schedule and the walker at its end.
+    fn walk(
+        explorer: &'e Explorer<'a, P>,
+        sym: Option<&'e ConfigSymmetry<'p, P::LocalState>>,
+        steps: &[ScheduleStep],
+    ) -> Option<(Vec<ScheduleStep>, Self)> {
+        let mut walker = match sym {
+            Some(sym) => Realizer::Quotient(Concretizer::new(explorer, sym)),
+            None => Realizer::Raw(explorer, explorer.initial_config()),
         };
+        let real = steps
+            .iter()
+            .map(|s| walker.advance(*s))
+            .collect::<Option<Vec<_>>>()?;
+        Some((real, walker))
     }
-    if let Violation::Runtime(e) = violation {
-        return Verdict::error(stats, e.into());
-    }
-    let witness = match &violation {
-        Violation::NonTermination(w) => nontermination_witness_reduced(explorer, sym, graph, w),
-        Violation::Agreement { config, .. }
-        | Violation::Validity { config, .. }
-        | Violation::UndecidedTerminal { config }
-        | Violation::SoloNonTermination { config, .. } => {
-            kind.and_then(|kind| state_witness_reduced(explorer, sym, graph, *config, kind))
+
+    /// Advances by one graph step, returning the real step that realizes it.
+    fn advance(&mut self, step: ScheduleStep) -> Option<ScheduleStep> {
+        match self {
+            Realizer::Raw(explorer, config) => {
+                *config = explorer.step(config, step.pid, step.outcome).ok()?.config;
+                Some(step)
+            }
+            Realizer::Quotient(walker) => {
+                let (pid, outcome) = walker.advance(step.pid, step.outcome).ok()?;
+                Some(ScheduleStep { pid, outcome })
+            }
         }
-        Violation::Nontriviality { config } => kind.and_then(|kind| {
-            let schedule = nontriviality_schedule(graph, *config, &kind)?;
-            let (real, _) = concretize_schedule(explorer, sym, &schedule)?;
-            finish_witness(explorer, real, Vec::new(), kind)
-        }),
-        _ => None,
-    };
-    Verdict {
-        outcome: Outcome::Violated(violation),
-        stats,
-        witness,
+    }
+
+    /// The real configuration reached.
+    fn real(&self) -> &Configuration<P::LocalState> {
+        match self {
+            Realizer::Raw(_, config) => config,
+            Realizer::Quotient(walker) => walker.real(),
+        }
+    }
+
+    /// The real process a pid of the graph's current configuration denotes.
+    fn real_pid(&self, pid: Pid) -> Pid {
+        match self {
+            Realizer::Raw(..) => pid,
+            Realizer::Quotient(walker) => walker.real_pid(pid),
+        }
     }
 }
 
-/// De-canonicalizes a quotient schedule into a real one, returning the
-/// walker so callers can read the final `σ` (pid translation) off it.
-fn concretize_schedule<'e, 'a, 'p, P: Protocol>(
-    explorer: &'e Explorer<'a, P>,
-    sym: &'e ConfigSymmetry<'p, P::LocalState>,
-    steps: &[ScheduleStep],
-) -> Option<(Vec<ScheduleStep>, Concretizer<'e, 'a, 'p, P>)> {
-    let mut walker = Concretizer::new(explorer, sym);
-    let mut real = Vec::with_capacity(steps.len());
-    for s in steps {
-        let (pid, outcome) = walker.advance(s.pid, s.outcome).ok()?;
-        real.push(ScheduleStep { pid, outcome });
-    }
-    Some((real, walker))
-}
-
-/// [`state_witness`] for a quotient graph: the BFS-shortest quotient path is
-/// concretized into a real schedule, pid-naming kinds are translated through
-/// the final `σ`, and the result is delta-minimized on the raw system.
-fn state_witness_reduced<P: Protocol>(
+/// Builds a witness for a violation visible at configuration `target`: the
+/// BFS-shortest path to it (for Nontriviality, the shortest `p`-solo path),
+/// realized on the raw system, then delta-minimized to the shortest failing
+/// prefix by replaying and re-evaluating the predicate at every
+/// intermediate configuration. A solo-run kind names a pid of the graph's
+/// configuration; the real process it denotes is read off the walk's end.
+fn state_witness<P: Protocol>(
     explorer: &Explorer<'_, P>,
-    sym: &ConfigSymmetry<'_, P::LocalState>,
+    sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
     graph: &ExplorationGraph<P::LocalState>,
     target: usize,
     kind: WitnessKind,
 ) -> Option<Witness> {
-    let path = graph.path_to(target)?;
-    let quotient: Vec<ScheduleStep> = path.into_iter().map(ScheduleStep::from).collect();
-    let (schedule, walker) = concretize_schedule(explorer, sym, &quotient)?;
-    // A solo-run kind names a pid of the quotient configuration; the real
-    // process it denotes is σ⁻¹(pid) at the end of the path.
+    let path = match &kind {
+        // A `p`-solo path exists exactly when the checker's (config,
+        // others-stepped) product BFS flagged the violation.
+        WitnessKind::Nontriviality { distinguished: p } => graph.bfs_path(
+            |e| e.pid == *p,
+            |node| node == target || graph.configs[node].has_aborted(*p),
+        )?,
+        _ => graph.path_to(target)?,
+    };
+    let steps: Vec<ScheduleStep> = path.into_iter().map(ScheduleStep::from).collect();
+    let (schedule, walker) = Realizer::walk(explorer, sym, &steps)?;
     let kind = match kind {
         WitnessKind::SoloNonTermination {
             pid,
@@ -1345,168 +1026,21 @@ fn state_witness_reduced<P: Protocol>(
     finish_witness(explorer, schedule, Vec::new(), kind)
 }
 
-/// [`nontermination_witness`] for a quotient graph. A quotient cycle need
-/// not close as a *real* cycle after one lap — concretizing it returns to
-/// the same orbit, not necessarily the same configuration. So the lap is
-/// pumped: successive laps walk the (finite) orbit of the entry
-/// configuration, and by pigeonhole a real configuration repeats within
-/// `|G| + 1` laps. Laps before the repeat join the prefix; the laps between
-/// the two occurrences form the real cycle. Victims are recomputed as the
-/// distinct pids stepping on the real cycle — sound because decisions are
-/// absorbing, so a process that steps on a closed cycle can never have
-/// decided anywhere on it.
-fn nontermination_witness_reduced<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    sym: &ConfigSymmetry<'_, P::LocalState>,
-    graph: &ExplorationGraph<P::LocalState>,
-    w: &crate::adversary::NonTerminationWitness,
-) -> Option<Witness> {
-    // Locate the cycle entry and the shortest prefix to it, as in the raw
-    // builder — all on the quotient graph.
-    let mut entry = 0usize;
-    for e in &w.prefix {
-        entry = graph.edges[entry]
-            .iter()
-            .find(|g| g.pid == e.pid && g.outcome == e.outcome)?
-            .target;
-    }
-    let shortest = graph.path_to(entry)?;
-    let prefix = if shortest.len() <= w.prefix.len() {
-        shortest
-    } else {
-        w.prefix.clone()
-    };
-    let quotient_prefix: Vec<ScheduleStep> = prefix.into_iter().map(ScheduleStep::from).collect();
-    let quotient_cycle: Vec<ScheduleStep> =
-        w.cycle.iter().copied().map(ScheduleStep::from).collect();
-    if quotient_cycle.is_empty() {
-        return None;
-    }
-
-    let (mut schedule, mut walker) = concretize_schedule(explorer, sym, &quotient_prefix)?;
-    let mut laps: Vec<Vec<ScheduleStep>> = Vec::new();
-    let mut seen: Vec<Configuration<P::LocalState>> = vec![walker.real().clone()];
-    let mut repeat = None;
-    for _ in 0..=sym.group_order() {
-        let mut lap = Vec::with_capacity(quotient_cycle.len());
-        for s in &quotient_cycle {
-            let (pid, outcome) = walker.advance(s.pid, s.outcome).ok()?;
-            lap.push(ScheduleStep { pid, outcome });
-        }
-        laps.push(lap);
-        let reached = walker.real().clone();
-        if let Some(i) = seen.iter().position(|c| *c == reached) {
-            repeat = Some(i);
-            break;
-        }
-        seen.push(reached);
-    }
-    let start = repeat?;
-    for lap in &laps[..start] {
-        schedule.extend_from_slice(lap);
-    }
-    let cycle: Vec<ScheduleStep> = laps[start..].iter().flatten().copied().collect();
-    let mut victims: Vec<Pid> = Vec::new();
-    for s in &cycle {
-        if !victims.contains(&s.pid) {
-            victims.push(s.pid);
-        }
-    }
-    victims.sort_by_key(|p| p.index());
-    let kind = WitnessKind::NonTermination { victims };
-    // Replay prefix + one full real cycle for the trace.
-    let mut config = explorer.initial_config();
-    let mut trace = Trace::new();
-    for (i, step) in schedule.iter().chain(cycle.iter()).enumerate() {
-        config = replay_one(explorer, config, *step, i, &mut trace).ok()?;
-    }
-    let w = Witness {
-        schedule,
-        cycle,
-        kind,
-        trace,
-        minimized: true,
-    };
-    emit_extract(explorer.tracer(), &w);
-    Some(w)
-}
-
-/// Builds a witness for a violation visible at configuration `target`:
-/// BFS-shortest path, then delta-minimized to the shortest failing prefix
-/// by replaying and re-evaluating the predicate at every intermediate
-/// configuration.
-fn state_witness<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    graph: &ExplorationGraph<P::LocalState>,
-    target: usize,
-    kind: WitnessKind,
-) -> Option<Witness> {
-    let path = graph.path_to(target)?;
-    let schedule: Vec<ScheduleStep> = path.into_iter().map(ScheduleStep::from).collect();
-    finish_witness(explorer, schedule, Vec::new(), kind)
-}
-
-/// Builds a witness for an n-DAC Nontriviality violation: a `p`-solo path
-/// (only edges of the distinguished process) to a configuration where `p`
-/// has aborted. Such a path exists exactly when the product-BFS in the
-/// checker flagged the violation.
-fn nontriviality_witness<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    graph: &ExplorationGraph<P::LocalState>,
-    target: usize,
-    kind: WitnessKind,
-) -> Option<Witness> {
-    let schedule = nontriviality_schedule(graph, target, &kind)?;
-    finish_witness(explorer, schedule, Vec::new(), kind)
-}
-
-/// The `p`-solo schedule behind a Nontriviality witness: BFS restricted to
-/// `p`'s edges — the flagged configuration is reachable this way by
-/// construction of the (config, others-stepped) product BFS in the checker.
-fn nontriviality_schedule<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
-    graph: &ExplorationGraph<L>,
-    target: usize,
-    kind: &WitnessKind,
-) -> Option<Vec<ScheduleStep>> {
-    let WitnessKind::Nontriviality { distinguished } = kind else {
-        return None;
-    };
-    let p = *distinguished;
-    let mut pred: Vec<Option<(usize, Edge)>> = vec![None; graph.configs.len()];
-    let mut seen = vec![false; graph.configs.len()];
-    let mut queue = VecDeque::from([0usize]);
-    seen[0] = true;
-    let mut found = graph.configs[0].has_aborted(p).then_some(0usize);
-    'bfs: while let Some(node) = queue.pop_front() {
-        for &e in &graph.edges[node] {
-            if e.pid != p || seen[e.target] {
-                continue;
-            }
-            seen[e.target] = true;
-            pred[e.target] = Some((node, e));
-            if e.target == target || graph.configs[e.target].has_aborted(p) {
-                found = Some(e.target);
-                break 'bfs;
-            }
-            queue.push_back(e.target);
-        }
-    }
-    let mut cur = found?;
-    let mut schedule = Vec::new();
-    while cur != 0 {
-        let (prev, edge) = pred[cur]?;
-        schedule.push(ScheduleStep::from(edge));
-        cur = prev;
-    }
-    schedule.reverse();
-    Some(schedule)
-}
-
-/// Builds a non-termination witness: the DFS prefix is re-routed through
+/// Builds a non-termination witness. The DFS prefix is re-routed through
 /// the BFS-shortest path to the cycle entry (this is the minimization —
-/// never longer than the DFS prefix), the cycle is kept verbatim.
+/// never longer than the DFS prefix) and realized on the raw system, then
+/// the cycle is walked lap by lap until a real configuration repeats. On a
+/// raw graph that is the entry, after one lap. On a quotient graph a lap
+/// only returns to the entry's orbit, but successive laps walk that
+/// (finite) orbit, so by pigeonhole a real configuration repeats within
+/// `|G| + 1` laps. Laps before the repeat join the prefix; the laps between
+/// the two occurrences form the real cycle. Victims are the distinct pids
+/// stepping on the real cycle — sound because decisions are absorbing, so a
+/// process that steps on a closed cycle can never have decided anywhere on
+/// it.
 fn nontermination_witness<P: Protocol>(
     explorer: &Explorer<'_, P>,
+    sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
     graph: &ExplorationGraph<P::LocalState>,
     w: &crate::adversary::NonTerminationWitness,
 ) -> Option<Witness> {
@@ -1524,12 +1058,39 @@ fn nontermination_witness<P: Protocol>(
     } else {
         w.prefix.clone()
     };
-    let schedule: Vec<ScheduleStep> = prefix.into_iter().map(ScheduleStep::from).collect();
-    let cycle: Vec<ScheduleStep> = w.cycle.iter().copied().map(ScheduleStep::from).collect();
-    let kind = WitnessKind::NonTermination {
-        victims: w.victims.clone(),
-    };
-    // Replay prefix + one cycle lap for the trace.
+    let graph_prefix: Vec<ScheduleStep> = prefix.into_iter().map(ScheduleStep::from).collect();
+    let graph_cycle: Vec<ScheduleStep> = w.cycle.iter().copied().map(ScheduleStep::from).collect();
+    if graph_cycle.is_empty() {
+        return None;
+    }
+
+    let (mut schedule, mut walker) = Realizer::walk(explorer, sym, &graph_prefix)?;
+    let mut laps: Vec<Vec<ScheduleStep>> = Vec::new();
+    let mut seen: Vec<Configuration<P::LocalState>> = vec![walker.real().clone()];
+    let mut repeat = None;
+    for _ in 0..=sym.map_or(1, ConfigSymmetry::group_order) {
+        let lap = graph_cycle
+            .iter()
+            .map(|s| walker.advance(*s))
+            .collect::<Option<Vec<_>>>()?;
+        laps.push(lap);
+        let reached = walker.real();
+        if let Some(i) = seen.iter().position(|c| c == reached) {
+            repeat = Some(i);
+            break;
+        }
+        seen.push(reached.clone());
+    }
+    let start = repeat?;
+    for lap in &laps[..start] {
+        schedule.extend_from_slice(lap);
+    }
+    let cycle: Vec<ScheduleStep> = laps[start..].iter().flatten().copied().collect();
+    let mut victims: Vec<Pid> = cycle.iter().map(|s| s.pid).collect();
+    victims.sort_unstable();
+    victims.dedup();
+    let kind = WitnessKind::NonTermination { victims };
+    // Replay prefix + one full real cycle for the trace.
     let mut config = explorer.initial_config();
     let mut trace = Trace::new();
     for (i, step) in schedule.iter().chain(cycle.iter()).enumerate() {
@@ -1585,9 +1146,10 @@ fn finish_witness<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::Limits;
     use lbsa_core::value::int;
     use lbsa_core::{AnyObject, ObjId, Op};
-    use lbsa_runtime::process::Step;
+    use lbsa_runtime::process::{Step, Symmetry};
 
     /// Correct consensus via a consensus object.
     #[derive(Debug)]
@@ -1660,7 +1222,7 @@ mod tests {
         };
         let objects = vec![AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         assert!(v.holds(), "{v}");
         assert!(v.witness.is_none());
         assert!(v.stats.configs > 0);
@@ -1677,7 +1239,7 @@ mod tests {
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         assert!(v.is_violated(), "{v}");
         let w = v.witness.expect("agreement violations carry a witness");
         assert!(w.minimized);
@@ -1697,7 +1259,7 @@ mod tests {
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         let w = v.witness.unwrap();
 
         let mut truncated = w.clone();
@@ -1722,7 +1284,10 @@ mod tests {
         };
         let objects = vec![AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::new(1));
+        let v = ex
+            .exploration()
+            .limits(Limits::new(1))
+            .check_consensus(&[int(0), int(1)]);
         assert!(matches!(v.outcome, Outcome::Truncated));
         assert!(v.witness.is_none());
         assert_eq!(
@@ -1752,7 +1317,7 @@ mod tests {
         let p = Spin;
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_wait_free(&ex, Limits::default());
+        let v = ex.exploration().check_wait_free();
         assert!(v.is_violated());
         let w = v.witness.expect("cycle witness");
         assert!(matches!(w.kind, WitnessKind::NonTermination { .. }));
@@ -1767,8 +1332,11 @@ mod tests {
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let raw = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
-        let reduced = verdict_consensus_reduced(&ex, &[int(0), int(1)], Limits::default());
+        let raw = ex.exploration().check_consensus(&[int(0), int(1)]);
+        let reduced = ex
+            .exploration()
+            .symmetric()
+            .check_consensus(&[int(0), int(1)]);
         assert!(raw.is_violated(), "{raw}");
         assert!(reduced.is_violated(), "{reduced}");
         assert!(
@@ -1791,8 +1359,8 @@ mod tests {
         };
         let objects = vec![AnyObject::consensus(3).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let raw = verdict_consensus(&ex, &[int(0)], Limits::default());
-        let reduced = verdict_consensus_reduced(&ex, &[int(0)], Limits::default());
+        let raw = ex.exploration().check_consensus(&[int(0)]);
+        let reduced = ex.exploration().symmetric().check_consensus(&[int(0)]);
         assert!(raw.holds(), "{raw}");
         assert!(reduced.holds(), "{reduced}");
         assert!(reduced.stats.configs < raw.stats.configs);
@@ -1826,7 +1394,7 @@ mod tests {
         let p = SpinAll { n: 2 };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_wait_free_reduced(&ex, Limits::default());
+        let v = ex.exploration().symmetric().check_wait_free();
         assert!(v.is_violated(), "{v}");
         let w = v.witness.expect("cycle witness");
         let WitnessKind::NonTermination { victims } = &w.kind else {
@@ -1847,7 +1415,7 @@ mod tests {
         let objects = reg();
         let sink = MemorySink::new();
         let ex = Explorer::new(&p, &objects).with_trace(Tracer::new(sink.clone()));
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         assert!(v.is_violated(), "{v}");
         v.witness
             .as_ref()
@@ -1895,13 +1463,13 @@ mod tests {
     }
 
     #[test]
-    fn verdict_json_shape() {
+    fn violated_verdict_json_shape() {
         let p = DecideOwn {
             inputs: vec![int(0), int(1)],
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         let doc = v.to_json();
         assert_eq!(doc.get("outcome").and_then(Json::as_str), Some("violated"));
         assert!(doc.get("detail").is_some());
@@ -1912,5 +1480,103 @@ mod tests {
         // The document round-trips through the parser.
         let parsed = Json::parse(&doc.pretty()).unwrap();
         assert_eq!(parsed, doc);
+    }
+
+    #[test]
+    fn nontriviality_witness_is_a_solo_run_of_the_distinguished_process() {
+        /// `p0` aborts after one read, whatever the others did; `p1`
+        /// decides its own input. Only Nontriviality fails.
+        #[derive(Debug)]
+        struct EagerAbort;
+        impl Protocol for EagerAbort {
+            type LocalState = ();
+            fn num_processes(&self) -> usize {
+                2
+            }
+            fn init(&self, _pid: Pid) {}
+            fn pending_op(&self, _pid: Pid, _s: &()) -> (ObjId, Op) {
+                (ObjId(0), Op::Read)
+            }
+            fn on_response(&self, pid: Pid, _s: &(), _r: Value) -> Step<()> {
+                if pid == Pid(0) {
+                    Step::Abort
+                } else {
+                    Step::Decide(int(1))
+                }
+            }
+        }
+        let p = EagerAbort;
+        let objects = reg();
+        let ex = Explorer::new(&p, &objects);
+        let instance = DacInstance {
+            distinguished: Pid(0),
+            inputs: vec![int(0), int(1)],
+        };
+        let v = ex.exploration().check_dac(&instance, 4);
+        assert!(
+            matches!(
+                v.outcome,
+                Outcome::Violated(Violation::Nontriviality { .. })
+            ),
+            "{v}"
+        );
+        let w = v.witness.expect("nontriviality violations carry a witness");
+        assert_eq!(
+            w.kind,
+            WitnessKind::Nontriviality {
+                distinguished: Pid(0)
+            }
+        );
+        assert_eq!(
+            w.schedule,
+            vec![ScheduleStep {
+                pid: Pid(0),
+                outcome: 0
+            }]
+        );
+        w.confirm(&ex).expect("witness must confirm");
+    }
+
+    #[test]
+    fn sampled_dac_and_wait_free_checks_are_rejected_with_a_typed_error() {
+        use lbsa_support::obs::MemorySink;
+        let p = GoodConsensus {
+            inputs: vec![int(0), int(1)],
+        };
+        let objects = vec![AnyObject::consensus(2).unwrap()];
+        let sink = MemorySink::new();
+        let ex = Explorer::new(&p, &objects).with_trace(Tracer::new(sink.clone()));
+        let instance = DacInstance {
+            distinguished: Pid(0),
+            inputs: p.inputs.clone(),
+        };
+        let verdicts = [
+            (
+                "dac",
+                ex.exploration()
+                    .sample(SampleConfig::default())
+                    .check_dac(&instance, 8),
+            ),
+            (
+                "wait-free",
+                ex.exploration()
+                    .sample(SampleConfig::default())
+                    .check_wait_free(),
+            ),
+        ];
+        for (check, v) in verdicts {
+            assert_eq!(
+                v.outcome,
+                Outcome::Error(CheckError::NotSampleable { check }),
+                "{v}"
+            );
+            assert_eq!(v.stats, EMPTY_STATS, "nothing may run: {v}");
+            assert!(v.witness.is_none());
+        }
+        // Neither an exhaustive exploration nor a sampling sweep ran.
+        let names = sink.names();
+        assert!(!names.contains(&"explore.begin"), "{names:?}");
+        assert!(!names.contains(&"sample.begin"), "{names:?}");
+        assert_eq!(names.iter().filter(|n| **n == "verdict").count(), 2);
     }
 }

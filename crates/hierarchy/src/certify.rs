@@ -18,9 +18,9 @@
 //!
 //! [`certified_consensus_number`] combines both into a [`CertifiedLevel`].
 
+use crate::refutation;
 use lbsa_core::{AnyObject, ObjId, Value};
-use lbsa_explorer::checker::{check_consensus, CheckStats, Violation};
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::{CheckStats, Explorer, Limits, Verdict, Violation, Witness};
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_protocols::dac::all_binary_inputs;
 
@@ -64,51 +64,62 @@ impl SweepStats {
     }
 }
 
+/// Checks consensus for the canonical protocol over one instance of
+/// `object`, accessed through `face`, with the given inputs.
+fn check_canonical(object: &AnyObject, face: Face, inputs: Vec<Value>, limits: Limits) -> Verdict {
+    let valid = inputs.clone();
+    let protocol = face.protocol(inputs);
+    let explorer = Explorer::new(&protocol, std::slice::from_ref(object));
+    explorer
+        .exploration()
+        .limits(limits)
+        .check_consensus(&valid)
+}
+
 /// Certifies (exhaustively) that one instance of `object`, accessed through
 /// `face`, solves consensus among `n` processes for every binary input
 /// vector.
 ///
 /// # Errors
 ///
-/// Returns the first [`Violation`] found — including
-/// [`Violation::Truncated`] if `limits` are too small.
+/// Returns the first verdict that does not hold, in the order of
+/// [`all_binary_inputs`]: a violation with its witness, or a truncated
+/// verdict if `limits` are too small.
 pub fn certify_consensus_upper(
     object: &AnyObject,
     face: Face,
     n: usize,
     limits: Limits,
-) -> Result<SweepStats, Violation> {
+) -> Result<SweepStats, Box<Verdict>> {
     let mut stats = SweepStats::default();
     for inputs in all_binary_inputs(n) {
-        let valid = inputs.clone();
-        let protocol = face.protocol(inputs);
-        let objects = std::slice::from_ref(object);
-        let explorer = Explorer::new(&protocol, objects);
-        stats.absorb(check_consensus(&explorer, &valid, limits)?);
+        let verdict = check_canonical(object, face, inputs, limits);
+        if !verdict.holds() {
+            return Err(Box::new(verdict));
+        }
+        stats.absorb(verdict.stats);
     }
     Ok(stats)
 }
 
 /// Shows that the canonical protocol fails consensus among `n + 1`
-/// processes with one instance of `object`: returns the violation found, or
-/// `None` if the canonical protocol unexpectedly works (in which case the
-/// object's consensus number exceeds `n`).
+/// processes with one instance of `object`: returns the verdict that
+/// refutes it (with its witness), or `None` if the canonical protocol
+/// unexpectedly works (in which case the object's consensus number exceeds
+/// `n`).
 #[must_use]
 pub fn refute_canonical_consensus(
     object: &AnyObject,
     face: Face,
     n_plus_1: usize,
     limits: Limits,
-) -> Option<Violation> {
+) -> Option<Verdict> {
     // A mixed input vector is the discriminating one (all-equal inputs
     // cannot violate agreement/validity).
     let mut inputs = vec![Value::Int(0); n_plus_1];
     inputs[0] = Value::Int(1);
-    let valid = inputs.clone();
-    let protocol = face.protocol(inputs);
-    let objects = std::slice::from_ref(object);
-    let explorer = Explorer::new(&protocol, objects);
-    check_consensus(&explorer, &valid, limits).err()
+    let verdict = check_canonical(object, face, inputs, limits);
+    (!verdict.holds()).then_some(verdict)
 }
 
 /// The outcome of a consensus-number certification.
@@ -122,6 +133,11 @@ pub struct CertifiedLevel {
     /// The violation exhibited by the canonical protocol at `level + 1`
     /// (canonical-protocol refutation evidence).
     pub refutation: Violation,
+    /// The refutation's witness: a schedule of the canonical protocol at
+    /// `level + 1`, over the first input vector of [`all_binary_inputs`]
+    /// that fails, which replays and confirms the violation. `None` when
+    /// the refutation is not a violation (a truncated or failed run).
+    pub witness: Option<Witness>,
 }
 
 /// Certifies the consensus number of `object` (through `face`) by searching
@@ -143,13 +159,15 @@ pub fn certified_consensus_number(
     for n in 1..=cap {
         match certify_consensus_upper(object, face, n, limits) {
             Ok(stats) => best = Some((n, stats)),
-            Err(violation) => {
+            Err(verdict) => {
+                let (violation, witness) = refutation(*verdict);
                 let (level, upper) = best.ok_or(violation.clone())?;
                 debug_assert_eq!(level + 1, n);
                 return Ok(CertifiedLevel {
                     level,
                     upper,
                     refutation: violation,
+                    witness,
                 });
             }
         }
@@ -230,6 +248,35 @@ mod tests {
     fn cap_too_low_is_reported() {
         let obj = AnyObject::consensus(4).unwrap();
         assert!(certified_consensus_number(&obj, Face::Propose, 3, limits()).is_err());
+    }
+
+    #[test]
+    fn refutation_witnesses_confirm_on_the_refuted_instance() {
+        // T4's level-3 rows: the refutation at level + 1 replays and
+        // confirms on the canonical protocol over the input vector the
+        // sweep refuted first.
+        let cases = [
+            (AnyObject::consensus(3).unwrap(), Face::Propose),
+            (AnyObject::o_n(3).unwrap(), Face::ProposeC),
+            (AnyObject::o_prime_n(3, 2).unwrap(), Face::PowerLevel1),
+        ];
+        for (object, face) in cases {
+            let cert = certified_consensus_number(&object, face, 5, limits()).unwrap();
+            assert_eq!(cert.level, 3, "{face:?}");
+            let witness = cert
+                .witness
+                .as_ref()
+                .unwrap_or_else(|| panic!("{face:?}: refutation without a witness"));
+            let refuted = all_binary_inputs(cert.level + 1)
+                .into_iter()
+                .find(|inputs| !check_canonical(&object, face, inputs.clone(), limits()).holds())
+                .expect("the sweep refuted some input vector");
+            let protocol = face.protocol(refuted);
+            let explorer = Explorer::new(&protocol, std::slice::from_ref(&object));
+            witness
+                .confirm(&explorer)
+                .unwrap_or_else(|e| panic!("{face:?}: witness does not confirm: {e}"));
+        }
     }
 
     #[test]

@@ -30,3 +30,18 @@ pub mod separation;
 pub use certify::{certified_consensus_number, CertifiedLevel, Face};
 pub use power::{certify_power_table_o_n, certify_power_table_o_prime};
 pub use separation::{run_separation, SeparationReport};
+
+use lbsa_explorer::{CheckError, Outcome, Verdict, Violation, Witness};
+
+/// A verdict that does not hold, as the violation the pipeline reports and
+/// the witness that demonstrates it. The pipeline only runs exhaustive
+/// checks, so anything but a violation or a runtime fault is an
+/// inconclusive run: [`Violation::Truncated`], without a witness.
+fn refutation(verdict: Verdict) -> (Violation, Option<Witness>) {
+    let violation = match verdict.outcome {
+        Outcome::Violated(violation) => violation,
+        Outcome::Error(CheckError::Runtime(e)) => Violation::Runtime(e),
+        _ => Violation::Truncated,
+    };
+    (violation, verdict.witness)
+}

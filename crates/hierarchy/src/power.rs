@@ -16,11 +16,12 @@
 //! Every entry is verified by exhaustive exploration over all-distinct
 //! inputs (the adversarial case for the agreement bound).
 
+use crate::refutation;
 use lbsa_core::power_object::SetAgreementPower;
 use lbsa_core::{AnyObject, ObjId, SpecError, Value};
-use lbsa_explorer::checker::{check_k_set_agreement, Violation};
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::{Explorer, Limits, Violation};
 use lbsa_protocols::set_agreement_protocols::{GroupSplitKSet, KSetViaPowerLevel};
+use lbsa_runtime::process::Protocol;
 
 /// An error from power-table certification.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,6 +63,24 @@ fn distinct_inputs(count: usize) -> Vec<Value> {
     (0..count).map(|i| Value::Int(i as i64)).collect()
 }
 
+/// Exhaustively verifies `k`-set agreement for one level of a table.
+fn certify_level<P: Protocol>(
+    explorer: &Explorer<'_, P>,
+    k: usize,
+    inputs: &[Value],
+    limits: Limits,
+) -> Result<(), PowerError> {
+    let verdict = explorer
+        .exploration()
+        .limits(limits)
+        .check_k_set_agreement(k, inputs);
+    if verdict.holds() {
+        return Ok(());
+    }
+    let (violation, _) = refutation(verdict);
+    Err(PowerError::Violation { k, violation })
+}
+
 /// Certifies the lower-bound power table of `Oₙ` for levels `1..=max_k`:
 /// for each `k`, exhaustively verifies `k`-set agreement among `k·n`
 /// processes using `k` instances of `Oₙ` (group-split over their
@@ -85,8 +104,7 @@ pub fn certify_power_table_o_n(
             .map(|_| AnyObject::o_n(n))
             .collect::<Result<_, _>>()?;
         let explorer = Explorer::new(&protocol, &objects);
-        check_k_set_agreement(&explorer, k, &inputs, limits)
-            .map_err(|violation| PowerError::Violation { k, violation })?;
+        certify_level(&explorer, k, &inputs, limits)?;
         entries.push(processes);
     }
     Ok(SetAgreementPower::new(entries)?)
@@ -111,8 +129,7 @@ pub fn certify_power_table_o_prime(
         let protocol = KSetViaPowerLevel::new(inputs.clone(), ObjId(0), k);
         let objects = vec![AnyObject::o_prime_n(n, max_k)?];
         let explorer = Explorer::new(&protocol, &objects);
-        check_k_set_agreement(&explorer, k, &inputs, limits)
-            .map_err(|violation| PowerError::Violation { k, violation })?;
+        certify_level(&explorer, k, &inputs, limits)?;
         entries.push(processes);
     }
     Ok(SetAgreementPower::new(entries)?)

@@ -19,11 +19,11 @@
 //! agreement power, that are **not equivalent**.
 
 use crate::power::{certify_power_table_o_n, certify_power_table_o_prime, PowerError};
+use crate::refutation;
 use lbsa_core::power_object::SetAgreementPower;
 use lbsa_core::{AnyObject, ObjId, Pid, Value};
-use lbsa_explorer::checker::{check_dac, DacInstance, Violation};
 use lbsa_explorer::linearizability::check_linearizable;
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::{DacInstance, Explorer, Limits, Violation, Witness};
 use lbsa_protocols::candidates::{CandidatePacProcedure, ValAgreement};
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_protocols::derived_impls::PowerFromConsensusAndSa;
@@ -39,6 +39,11 @@ pub struct CandidateRefutation {
     pub candidate: String,
     /// The n-DAC property violation exhibited against it.
     pub violation: Violation,
+    /// The violation's witness: a schedule of Algorithm 2 over the
+    /// candidate (distinguished process `p0`, inputs `1, 0, …, 0`) that
+    /// replays and confirms the violation. `None` when the refutation is
+    /// not a violation (a truncated or failed run).
+    pub witness: Option<Witness>,
 }
 
 /// The full output of the separation pipeline for one level `n`.
@@ -162,16 +167,18 @@ fn check_lemma_6_4(n: usize, max_k: usize, seeds: u64) -> Result<usize, Separati
     Ok(checked)
 }
 
-/// Refutes one candidate implementation of `Oₙ`'s PAC face from `O'ₙ` +
-/// registers by running Algorithm 2 over it and checking (n+1)-DAC.
-fn refute_candidate(
+/// Algorithm 2 for (n+1)-DAC over one candidate implementation of `Oₙ`'s
+/// PAC face from `O'ₙ` + registers (distinguished `p0`, inputs
+/// `1, 0, …, 0`): hands its explorer and n-DAC instance to `f`.
+fn with_candidate<R>(
     n: usize,
     max_k: usize,
     val_agreement: ValAgreement,
-    description: &str,
-    limits: Limits,
-    solo_bound: usize,
-) -> Result<CandidateRefutation, SeparationError> {
+    f: impl FnOnce(
+        &Explorer<'_, DerivedProtocol<'_, DacFromPac, CandidatePacProcedure>>,
+        &DacInstance,
+    ) -> R,
+) -> R {
     let labels = n + 1;
     let mut inputs = vec![Value::Int(0); labels];
     inputs[0] = Value::Int(1);
@@ -191,15 +198,36 @@ fn refute_candidate(
         distinguished: Pid(0),
         inputs,
     };
-    match check_dac(&explorer, &instance, limits, solo_bound) {
-        Err(violation) => Ok(CandidateRefutation {
+    f(&explorer, &instance)
+}
+
+/// Refutes one candidate implementation of `Oₙ`'s PAC face from `O'ₙ` +
+/// registers by running Algorithm 2 over it and checking (n+1)-DAC.
+fn refute_candidate(
+    n: usize,
+    max_k: usize,
+    val_agreement: ValAgreement,
+    description: &str,
+    limits: Limits,
+    solo_bound: usize,
+) -> Result<CandidateRefutation, SeparationError> {
+    let verdict = with_candidate(n, max_k, val_agreement, |explorer, instance| {
+        explorer
+            .exploration()
+            .limits(limits)
+            .check_dac(instance, solo_bound)
+    });
+    if verdict.holds() {
+        return Err(SeparationError::CandidateSurvived {
             candidate: description.to_string(),
-            violation,
-        }),
-        Ok(_) => Err(SeparationError::CandidateSurvived {
-            candidate: description.to_string(),
-        }),
+        });
     }
+    let (violation, witness) = refutation(verdict);
+    Ok(CandidateRefutation {
+        candidate: description.to_string(),
+        violation,
+        witness,
+    })
 }
 
 /// Runs the full separation pipeline for level `n` with power tables
@@ -274,6 +302,23 @@ mod tests {
                 r.candidate,
                 r.violation
             );
+        }
+    }
+
+    #[test]
+    fn candidate_refutation_witnesses_confirm_on_the_candidate() {
+        // T5's n = 2 refutations replay and confirm on the very candidate
+        // instance each refuted.
+        let report = run_separation(2, 2, Limits::default(), 1).unwrap();
+        let candidates = [ValAgreement::PowerLevel(1), ValAgreement::PowerLevel(2)];
+        assert_eq!(report.refutations.len(), candidates.len());
+        for (r, val_agreement) in report.refutations.iter().zip(candidates) {
+            let witness = r
+                .witness
+                .as_ref()
+                .unwrap_or_else(|| panic!("{}: refutation without a witness", r.candidate));
+            with_candidate(2, 2, val_agreement, |explorer, _| witness.confirm(explorer))
+                .unwrap_or_else(|e| panic!("{}: witness does not confirm: {e}", r.candidate));
         }
     }
 

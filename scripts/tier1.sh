@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> benchmark harness build (repro_bench/harness, into target/)"
+# The repository benchmark links the workspace crates from its own package;
+# building it here turns a public-API break into a tier-1 failure instead
+# of a benchmark-run failure. --target-dir keeps build output out of
+# repro_bench/.
+cargo build --release --manifest-path repro_bench/harness/Cargo.toml --target-dir target
+
 echo "==> cargo test"
 cargo test --workspace --quiet
 
