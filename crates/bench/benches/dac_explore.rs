@@ -1,5 +1,6 @@
 //! **T2 (bench)** — full n-DAC verification cost: exploring Algorithm 2 and
-//! running all four DAC property checks (including solo-run re-exploration).
+//! running all four DAC property checks (including the memoized solo-run
+//! pass of Termination (a)/(b)).
 
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Pid};

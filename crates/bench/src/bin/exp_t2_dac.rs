@@ -2,10 +2,11 @@
 //!
 //! For each `n` and every binary input vector, exhaustively explores every
 //! execution of Algorithm 2 over a single n-PAC object and checks the four
-//! n-DAC properties (Agreement, Validity, Termination (a)/(b) via solo-run
-//! re-exploration, Nontriviality). Per-`n` verdicts (with witnesses, were
-//! any violation ever found) land in `reports/exp_t2_dac.json`, and the
-//! engine's span trace in `reports/exp_t2_dac.trace.jsonl`.
+//! n-DAC properties (Agreement, Validity, Termination (a)/(b) via the
+//! longest solo run from every configuration, Nontriviality). Per-`n`
+//! verdicts (with witnesses, were any violation ever found) land in
+//! `reports/exp_t2_dac.json`, and the engine's span trace in
+//! `reports/exp_t2_dac.trace.jsonl`.
 //!
 //! Run with `cargo run --release -p lbsa-bench --bin exp_t2_dac`.
 //! `--max-n N` caps the largest instance (default 4; CI smoke uses 2).

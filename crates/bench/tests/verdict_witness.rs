@@ -12,9 +12,9 @@ use lbsa_bench::harness::{table_to_json, validate_report, REPORT_SCHEMA};
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::verdict::WitnessKind;
-use lbsa_explorer::{Explorer, Outcome, Violation};
+use lbsa_explorer::{DacInstance, Explorer, Outcome, Violation};
 use lbsa_hierarchy::report::Table;
-use lbsa_runtime::process::{Protocol, Step};
+use lbsa_runtime::process::{classes_by_input, Protocol, Step, Symmetry};
 use lbsa_support::json::Json;
 
 /// Consensus with a broken adopt rule: propose to a consensus object, then
@@ -152,5 +152,99 @@ fn witness_survives_the_report_schema_round_trip() {
             json.get("outcome").and_then(Json::as_i64),
             Some(step.outcome as i64)
         );
+    }
+}
+
+/// An n-DAC candidate whose Termination (b) fails only after a step: the
+/// distinguished `p` reads flag register `F` and decides; each `q ≠ p`
+/// reads `F`, sets it and decides when it was clear, and otherwise reads
+/// it forever. Run solo once another `q` has set `F`, a `q` loops.
+#[derive(Debug)]
+struct FlagSpinners {
+    n: usize,
+}
+
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum FlagState {
+    Read,
+    Set,
+    Spin,
+}
+
+impl Protocol for FlagSpinners {
+    type LocalState = FlagState;
+    fn num_processes(&self) -> usize {
+        self.n
+    }
+    fn init(&self, _pid: Pid) -> FlagState {
+        FlagState::Read
+    }
+    fn pending_op(&self, _pid: Pid, s: &FlagState) -> (ObjId, Op) {
+        match s {
+            FlagState::Set => (ObjId(0), Op::Write(int(1))),
+            _ => (ObjId(0), Op::Read),
+        }
+    }
+    fn on_response(&self, pid: Pid, s: &FlagState, resp: Value) -> Step<FlagState> {
+        match s {
+            _ if pid == Pid(0) => Step::Decide(int(1)),
+            FlagState::Read if resp == Value::Nil => Step::Continue(FlagState::Set),
+            FlagState::Set => Step::Decide(int(1)),
+            _ => Step::Continue(FlagState::Spin),
+        }
+    }
+}
+
+impl Symmetry for FlagSpinners {
+    fn pid_classes(&self) -> Vec<u32> {
+        let mut classes = classes_by_input(&vec![int(1); self.n]);
+        classes[0] = u32::try_from(self.n).expect("small n");
+        classes
+    }
+}
+
+/// A solo-run violation found on the raw graph's edges and one found by
+/// the concrete solo search of a quotient graph both come back with a
+/// witness that replays to a configuration where a `q` spins solo.
+#[test]
+fn solo_non_termination_witnesses_confirm_on_raw_and_quotient_graphs() {
+    let p = FlagSpinners { n: 3 };
+    let objects = vec![AnyObject::register()];
+    let ex = Explorer::new(&p, &objects);
+    let instance = DacInstance {
+        distinguished: Pid(0),
+        inputs: vec![int(1); 3],
+    };
+    for symmetric in [false, true] {
+        let exploration = ex.exploration();
+        let exploration = if symmetric {
+            exploration.symmetric()
+        } else {
+            exploration
+        };
+        let verdict = exploration.check_dac(&instance, 10);
+        let Outcome::Violated(Violation::SoloNonTermination { pid, .. }) = verdict.outcome else {
+            panic!("symmetric={symmetric}: expected a solo-run violation, got {verdict}");
+        };
+        assert_ne!(pid, Pid(0), "symmetric={symmetric}: p always decides");
+        let witness = verdict.witness.as_ref().expect("witness extracted");
+        assert!(
+            matches!(
+                witness.kind,
+                WitnessKind::SoloNonTermination {
+                    bound: 10,
+                    must_decide: true,
+                    ..
+                }
+            ),
+            "symmetric={symmetric}: {:?}",
+            witness.kind
+        );
+        assert_eq!(
+            witness.schedule.len(),
+            2,
+            "symmetric={symmetric}: one q reads and sets F first"
+        );
+        witness.confirm(&ex).expect("witness must confirm");
     }
 }

@@ -8,21 +8,21 @@
 //! graph, so an `Ok(_)` answer means the property holds in *every*
 //! execution of the protocol — the same quantifier as the paper's theorem
 //! statements. The n-DAC checker implements the exact four properties of
-//! Section 4, including the solo-run Termination clauses (a) and (b), which
-//! are checked by re-exploring `q`-solo extensions from **every** reachable
-//! configuration.
+//! Section 4. Its solo-run Termination clauses (a) and (b) quantify over
+//! every reachable configuration; one memoized pass computes each
+//! process's longest solo run from every node, off the graph's edges.
 //!
-//! The checkers also run unchanged over a **symmetry-reduced** graph (built
-//! with [`crate::explore::Exploration::symmetric`]): every predicate here is
+//! The checkers also run over a **symmetry-reduced** graph (built with
+//! [`crate::explore::Exploration::symmetric`]): every predicate here is
 //! orbit-invariant. Agreement, validity and undecided-terminal inspect only
 //! the multiset of decisions and statuses, which pid permutations preserve;
-//! the pid-specific n-DAC predicates (solo runs of `q`, Nontriviality of the
-//! distinguished process) are invariant because the
+//! the pid-specific n-DAC predicates are invariant because the
 //! [`lbsa_runtime::process::Symmetry`] contract makes distinguished roles
-//! singleton classes — fixed by every group element — and solo extensions of
-//! a canonical representative cover those of the whole orbit by
-//! equivariance. Violations found on the quotient are translated back to
-//! real executions by the verdict layer (see [`crate::verdict`]).
+//! singleton classes, and solo runs from a canonical representative cover
+//! those of its orbit by equivariance. A quotient's edges rename the
+//! stepping process, so there the solo runs are stepped concretely, still
+//! with one memo per process. The verdict layer translates violations back
+//! to real executions.
 
 use crate::adversary::{find_nontermination, NonTerminationWitness};
 use crate::config::Configuration;
@@ -30,8 +30,10 @@ use crate::explore::{ExplorationGraph, Explorer};
 use lbsa_core::{Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{ProcStatus, Protocol};
-use std::collections::HashSet;
+use lbsa_support::hash::FxHashMap;
+use std::convert::Infallible;
 use std::fmt;
+use std::hash::Hash;
 
 /// Statistics of a successful check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,6 +157,17 @@ pub(crate) fn k_set_agreement<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>
     if !graph.complete {
         return Err(Violation::Truncated);
     }
+    agreement_and_validity(graph, k, |_, v| valid_inputs.contains(v))?;
+    wait_free(graph)
+}
+
+/// The first configuration, by index, deciding more than `k` values or a
+/// value that `valid` rejects there.
+fn agreement_and_validity<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+    graph: &ExplorationGraph<L>,
+    k: usize,
+    valid: impl Fn(&Configuration<L>, &Value) -> bool,
+) -> Result<(), Violation> {
     for (idx, config) in graph.configs.iter().enumerate() {
         let decided = config.distinct_decisions();
         if decided.len() > k {
@@ -163,16 +176,11 @@ pub(crate) fn k_set_agreement<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>
                 values: decided,
             });
         }
-        for v in &decided {
-            if !valid_inputs.contains(v) {
-                return Err(Violation::Validity {
-                    config: idx,
-                    value: *v,
-                });
-            }
+        if let Some(&value) = decided.iter().find(|v| !valid(config, v)) {
+            return Err(Violation::Validity { config: idx, value });
         }
     }
-    wait_free(graph)
+    Ok(())
 }
 
 /// Checks wait-free termination over a complete graph: no infinite
@@ -205,71 +213,125 @@ pub struct DacInstance {
     pub inputs: Vec<Value>,
 }
 
-/// Runs `pid` solo from `config`, following every object-outcome branch.
-///
-/// Returns `Ok(true)` if on **every** branch `pid` stops running (decides,
-/// aborts, or halts) within `bound` of its own steps and without revisiting
-/// a configuration (a revisit is a solo loop — non-termination).
-///
-/// # Errors
-///
-/// Propagates runtime errors.
-pub(crate) fn solo_terminates<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    config: &Configuration<P::LocalState>,
-    pid: Pid,
-    bound: usize,
-) -> Result<bool, RuntimeError> {
-    let mut visited: HashSet<Configuration<P::LocalState>> = HashSet::new();
-    let mut stack: Vec<(Configuration<P::LocalState>, usize)> = vec![(config.clone(), 0)];
-    while let Some((cfg, depth)) = stack.pop() {
-        if !matches!(cfg.procs.get(pid.index()), Some(ProcStatus::Running(_))) {
-            continue; // this branch terminated
-        }
-        if depth >= bound {
-            return Ok(false);
-        }
-        if !visited.insert(cfg.clone()) {
-            return Ok(false); // solo loop
-        }
-        for succ in explorer.successors_of(&cfg, pid)? {
-            stack.push((succ, depth + 1));
-        }
+/// The longest solo run of a solo loop, or of a stop without a required
+/// decision.
+const UNBOUNDED: u32 = u32::MAX;
+
+/// The longest solo run of `pid` from `config` if `pid` no longer runs
+/// there: 0 when it stopped as the clause allows (decided or, unless it
+/// `must_decide`, aborted or halted), [`UNBOUNDED`] otherwise.
+fn stopped<L>(config: &Configuration<L>, pid: Pid, must_decide: bool) -> Option<u32> {
+    match config.procs.get(pid.index()) {
+        Some(ProcStatus::Running(_)) => None,
+        Some(ProcStatus::Decided(_)) => Some(0),
+        _ => Some(if must_decide { UNBOUNDED } else { 0 }),
     }
-    Ok(true)
 }
 
-/// Like [`solo_terminates`], but additionally requires that on every branch
-/// the process **decides** (aborting or halting does not count).
+/// The longest solo run of one process, in its own steps, from `start`, a
+/// node in which it runs; `successors` lists a node's solo successors, each
+/// with its [`stopped`] value. The answer depends only on the node's solo
+/// subtree, so one `memo` serves every start. In it `None` marks the search
+/// path: reaching the path again is a solo loop, while branches that merge
+/// are not. Returns [`UNBOUNDED`] as soon as the run provably exceeds
+/// `bound`, which also ends searches of infinite state spaces.
+fn longest_solo_run<N: Clone + Eq + Hash, E>(
+    memo: &mut FxHashMap<N, Option<u32>>,
+    start: N,
+    bound: usize,
+    mut successors: impl FnMut(&N, &mut Vec<(Option<u32>, N)>) -> Result<(), E>,
+) -> Result<u32, E> {
+    // The path: node, where its successors start in `pending`, its longest
+    // run so far.
+    let mut path: Vec<(N, usize, u32)> = Vec::new();
+    let mut pending = vec![(None, start)];
+    loop {
+        let steps = match path.last() {
+            Some(&(_, base, _)) if pending.len() == base => {
+                let (node, _, steps) = path.pop().expect("a frame is open");
+                memo.insert(node, Some(steps));
+                steps
+            }
+            _ => match pending.pop().expect("the start or a successor is pending") {
+                (Some(steps), _) => steps,
+                (None, node) => match memo.get(&node) {
+                    Some(known) => known.unwrap_or(UNBOUNDED),
+                    None => {
+                        // A new frame, settled like a zero-step successor:
+                        // the node's own step.
+                        memo.insert(node.clone(), None);
+                        let base = pending.len();
+                        successors(&node, &mut pending)?;
+                        path.push((node, base, 0));
+                        0
+                    }
+                },
+            },
+        };
+        let Some(depth) = path.len().checked_sub(1) else {
+            return Ok(steps);
+        };
+        let top = &mut path[depth].2;
+        *top = (*top).max(steps.saturating_add(1));
+        if depth.saturating_add(*top as usize) > bound {
+            for (node, ..) in &path {
+                memo.remove(node);
+            }
+            return Ok(UNBOUNDED);
+        }
+    }
+}
+
+/// [`longest_solo_run`] from a concrete configuration in which `pid` runs,
+/// stepping its solo successors through the explorer: for quotient graphs,
+/// whose edges rename the stepping process, and for witnesses.
 ///
 /// # Errors
 ///
 /// Propagates runtime errors.
-pub(crate) fn solo_decides<P: Protocol>(
+pub(crate) fn stepped_solo_run<P: Protocol>(
     explorer: &Explorer<'_, P>,
+    memo: &mut FxHashMap<Configuration<P::LocalState>, Option<u32>>,
     config: &Configuration<P::LocalState>,
     pid: Pid,
+    must_decide: bool,
     bound: usize,
-) -> Result<bool, RuntimeError> {
-    let mut visited: HashSet<Configuration<P::LocalState>> = HashSet::new();
-    let mut stack: Vec<(Configuration<P::LocalState>, usize)> = vec![(config.clone(), 0)];
-    while let Some((cfg, depth)) = stack.pop() {
-        match cfg.procs.get(pid.index()) {
-            Some(ProcStatus::Running(_)) => {}
-            Some(ProcStatus::Decided(_)) => continue,
-            _ => return Ok(false), // aborted/halted/crashed: not a decision
-        }
-        if depth >= bound {
-            return Ok(false);
-        }
-        if !visited.insert(cfg.clone()) {
-            return Ok(false);
-        }
-        for succ in explorer.successors_of(&cfg, pid)? {
-            stack.push((succ, depth + 1));
-        }
+) -> Result<u32, RuntimeError> {
+    longest_solo_run(memo, config.clone(), bound, |config, out| {
+        let next = explorer.successors_of(config, pid)?;
+        out.extend(next.into_iter().map(|c| (stopped(&c, pid, must_decide), c)));
+        Ok(())
+    })
+}
+
+impl<L> ExplorationGraph<L> {
+    /// The longest solo run of `pid` from each configuration, in index
+    /// order and in `pid`'s own steps, read off the graph's `pid` edges with
+    /// one memo, as the iterator advances: `None` where it is unbounded (a
+    /// solo loop or, when `must_decide`, a stop without deciding), 0 where
+    /// `pid` has stopped. n-DAC Termination (a)/(b) asks it to stay within
+    /// the solo bound wherever `pid` runs. No configuration is stepped.
+    /// Complete raw graphs only: an unexpanded node lists no edges, and a
+    /// quotient's edges rename the stepping process.
+    pub fn longest_solo_runs(
+        &self,
+        pid: Pid,
+        must_decide: bool,
+    ) -> impl Iterator<Item = Option<usize>> + '_ {
+        let mut memo = FxHashMap::default();
+        let stop = move |v: usize| stopped(&self.configs[v], pid, must_decide);
+        (0..self.len()).map(move |v| {
+            let steps = stop(v).unwrap_or_else(|| {
+                let Ok(steps) = longest_solo_run(&mut memo, v, usize::MAX, |&v, out| {
+                    let edges = self.edges[v].iter().filter(|e| e.pid == pid);
+                    out.extend(edges.map(|e| (stop(e.target), e.target)));
+                    Ok::<_, Infallible>(())
+                });
+                steps
+            });
+            (steps != UNBOUNDED).then_some(steps as usize)
+        })
     }
-    Ok(true)
 }
 
 /// Checks all four n-DAC properties of Section 4 over every execution of
@@ -285,58 +347,46 @@ pub(crate) fn solo_decides<P: Protocol>(
 /// * **Nontriviality** — in no execution does `p` abort before some other
 ///   process has taken a step.
 ///
-/// Returns the first [`Violation`] found.
+/// Termination reads the solo runs off the graph's edges or, on a
+/// `quotient` graph, steps them. Returns the first [`Violation`] found; for
+/// Termination, configurations in index order, `p` before the `q ≠ p`.
 pub(crate) fn dac<P: Protocol>(
     explorer: &Explorer<'_, P>,
     graph: &ExplorationGraph<P::LocalState>,
     instance: &DacInstance,
     solo_bound: usize,
+    quotient: bool,
 ) -> Result<CheckStats, Violation> {
     if !graph.complete {
         return Err(Violation::Truncated);
     }
     let p = instance.distinguished;
     let n = explorer.protocol().num_processes();
+    agreement_and_validity(graph, 1, |config, v| {
+        (0..n).any(|q| instance.inputs.get(q) == Some(v) && !config.has_aborted(Pid(q)))
+    })?;
 
-    // Agreement + Validity, per configuration.
+    // Termination (a) and (b), `p` first, with one memo per process: the
+    // runs are read off the edges, or stepped on a quotient.
+    let mut runs: Vec<_> = (0..n)
+        .filter(|_| !quotient)
+        .map(|q| graph.longest_solo_runs(Pid(q), Pid(q) != p))
+        .collect();
+    let mut memos = vec![FxHashMap::default(); n];
     for (idx, config) in graph.configs.iter().enumerate() {
-        let decided = config.distinct_decisions();
-        if decided.len() > 1 {
-            return Err(Violation::Agreement {
-                config: idx,
-                values: decided,
-            });
-        }
-        for v in &decided {
-            let supported =
-                (0..n).any(|q| instance.inputs.get(q) == Some(v) && !config.has_aborted(Pid(q)));
-            if !supported {
-                return Err(Violation::Validity {
-                    config: idx,
-                    value: *v,
-                });
-            }
-        }
-    }
-
-    // Termination (a) and (b): solo runs from every reachable configuration.
-    for (idx, config) in graph.configs.iter().enumerate() {
-        if matches!(config.procs.get(p.index()), Some(ProcStatus::Running(_)))
-            && !solo_terminates(explorer, config, p, solo_bound)?
-        {
-            return Err(Violation::SoloNonTermination {
-                config: idx,
-                pid: p,
-            });
-        }
-        for q in 0..n {
-            let q = Pid(q);
-            if q == p {
+        for q in std::iter::once(p).chain((0..n).map(Pid).filter(|&q| q != p)) {
+            let on_edges = runs.get_mut(q.index()).map(|r| r.next().flatten());
+            if !config.procs[q.index()].is_running() {
                 continue;
             }
-            if matches!(config.procs.get(q.index()), Some(ProcStatus::Running(_)))
-                && !solo_decides(explorer, config, q, solo_bound)?
-            {
+            let steps = match on_edges {
+                Some(steps) => steps.unwrap_or(usize::MAX),
+                None => {
+                    let memo = &mut memos[q.index()];
+                    stepped_solo_run(explorer, memo, config, q, q != p, solo_bound)? as usize
+                }
+            };
+            if steps > solo_bound {
                 return Err(Violation::SoloNonTermination {
                     config: idx,
                     pid: q,
@@ -345,22 +395,10 @@ pub(crate) fn dac<P: Protocol>(
         }
     }
 
-    // Nontriviality: BFS over (configuration, has-any-other-process-stepped).
-    {
-        let mut seen: HashSet<(usize, bool)> = HashSet::new();
-        let mut queue: Vec<(usize, bool)> = vec![(0, false)];
-        seen.insert((0, false));
-        while let Some((idx, others_stepped)) = queue.pop() {
-            if graph.configs[idx].has_aborted(p) && !others_stepped {
-                return Err(Violation::Nontriviality { config: idx });
-            }
-            for e in &graph.edges[idx] {
-                let next_flag = others_stepped || e.pid != p;
-                if seen.insert((e.target, next_flag)) {
-                    queue.push((e.target, next_flag));
-                }
-            }
-        }
+    // Nontriviality: no `p`-solo path reaches an abort of `p`.
+    if let Some(path) = graph.bfs_path(|e| e.pid == p, |v| graph.configs[v].has_aborted(p)) {
+        let config = path.last().map_or(0, |e| e.target);
+        return Err(Violation::Nontriviality { config });
     }
 
     Ok(stats(graph))
@@ -383,6 +421,20 @@ mod tests {
     ) -> Result<CheckStats, Violation> {
         let graph = explorer.exploration().limits(limits).run()?;
         k_set_agreement(&graph, k, valid_inputs)
+    }
+
+    /// Whether `pid`, running in `config`, stops (decides, when
+    /// `must_decide`) on every solo run within `bound` of its own steps.
+    fn solo_run_ok<P: Protocol>(
+        explorer: &Explorer<'_, P>,
+        config: &Configuration<P::LocalState>,
+        pid: Pid,
+        bound: usize,
+        must_decide: bool,
+    ) -> bool {
+        let memo = &mut FxHashMap::default();
+        let steps = stepped_solo_run(explorer, memo, config, pid, must_decide, bound).unwrap();
+        steps as usize <= bound
     }
 
     fn check_consensus<P: Protocol>(
@@ -554,16 +606,16 @@ mod tests {
         let objects = vec![AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
         let init = ex.initial_config();
-        assert!(solo_terminates(&ex, &init, Pid(0), 5).unwrap());
-        assert!(solo_decides(&ex, &init, Pid(0), 5).unwrap());
+        assert!(solo_run_ok(&ex, &init, Pid(0), 5, false));
+        assert!(solo_run_ok(&ex, &init, Pid(0), 5, true));
 
         let p = HaltsUndecided;
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
         let init = ex.initial_config();
-        assert!(solo_terminates(&ex, &init, Pid(0), 5).unwrap());
+        assert!(solo_run_ok(&ex, &init, Pid(0), 5, false));
         assert!(
-            !solo_decides(&ex, &init, Pid(0), 5).unwrap(),
+            !solo_run_ok(&ex, &init, Pid(0), 5, true),
             "halting is not deciding"
         );
     }
@@ -589,7 +641,61 @@ mod tests {
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
         let init = ex.initial_config();
-        assert!(!solo_terminates(&ex, &init, Pid(0), 100).unwrap());
+        assert!(!solo_run_ok(&ex, &init, Pid(0), 100, false));
+    }
+
+    /// Three `PROPOSE`s to a (3,2)-set agreement object, responses ignored,
+    /// then a register read, then a decision: every solo run is 4 steps,
+    /// and outcome branches re-converge once the object is full (it answers
+    /// every existing output with the same state).
+    #[derive(Debug)]
+    struct ProposeThriceThenRead;
+
+    impl Protocol for ProposeThriceThenRead {
+        type LocalState = u8;
+        fn num_processes(&self) -> usize {
+            1
+        }
+        fn init(&self, _pid: Pid) -> u8 {
+            0
+        }
+        fn pending_op(&self, _pid: Pid, s: &u8) -> (ObjId, Op) {
+            match s {
+                0..=2 => (ObjId(0), Op::Propose(int(i64::from(*s)))),
+                _ => (ObjId(1), Op::Read),
+            }
+        }
+        fn on_response(&self, _pid: Pid, s: &u8, _r: Value) -> Step<u8> {
+            if *s < 3 {
+                Step::Continue(s + 1)
+            } else {
+                Step::Decide(int(0))
+            }
+        }
+    }
+
+    #[test]
+    fn reconverging_solo_branches_are_not_a_loop() {
+        let p = ProposeThriceThenRead;
+        let objects = vec![
+            AnyObject::set_agreement(3, 2).unwrap(),
+            AnyObject::register(),
+        ];
+        let ex = Explorer::new(&p, &objects);
+        let init = ex.initial_config();
+        for must_decide in [false, true] {
+            assert!(solo_run_ok(&ex, &init, Pid(0), 10, must_decide));
+            assert!(solo_run_ok(&ex, &init, Pid(0), 4, must_decide));
+            assert!(!solo_run_ok(&ex, &init, Pid(0), 3, must_decide));
+        }
+        let graph = ex.exploration().run().unwrap();
+        assert_eq!(graph.longest_solo_runs(Pid(0), true).next(), Some(Some(4)));
+        assert!(
+            graph.transitions > graph.len() - 1,
+            "some branches re-converge: {} transitions over {} configurations",
+            graph.transitions,
+            graph.len()
+        );
     }
 
     #[test]

@@ -194,12 +194,10 @@ impl WitnessKind {
                 if !matches!(config.procs.get(pid.index()), Some(ProcStatus::Running(_))) {
                     return Ok(Some(false));
                 }
-                let ok = if *must_decide {
-                    checker::solo_decides(explorer, config, *pid, *bound)?
-                } else {
-                    checker::solo_terminates(explorer, config, *pid, *bound)?
-                };
-                Ok(Some(!ok))
+                let memo = &mut Default::default();
+                let steps =
+                    checker::stepped_solo_run(explorer, memo, config, *pid, *must_decide, *bound)?;
+                Ok(Some(steps as usize > *bound))
             }
             WitnessKind::NonTermination { .. } => Ok(None),
             _ => Ok(self.state_predicate(config)),
@@ -609,13 +607,14 @@ impl Property<'_> {
         &self,
         explorer: &Explorer<'_, P>,
         graph: &ExplorationGraph<P::LocalState>,
+        quotient: bool,
     ) -> Result<CheckStats, Violation> {
         match self {
             Property::KSetAgreement { k, valid } => checker::k_set_agreement(graph, *k, valid),
             Property::Dac {
                 instance,
                 solo_bound,
-            } => checker::dac(explorer, graph, instance, *solo_bound),
+            } => checker::dac(explorer, graph, instance, *solo_bound, quotient),
             Property::WaitFree => checker::wait_free(graph),
         }
     }
@@ -715,10 +714,11 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
 
     fn check(self, property: &Property<'_>) -> Verdict {
         let parts = self.run_for_check();
+        let sym = parts.symmetry.as_ref();
         let verdict = match (&parts.run, property) {
             (CheckRun::Explored(explored), _) => match &**explored {
                 Err(e) => Verdict::error(EMPTY_STATS, e.clone().into()),
-                Ok(graph) => match property.check(parts.explorer, graph) {
+                Ok(graph) => match property.check(parts.explorer, graph, sym.is_some()) {
                     Ok(stats) => Verdict {
                         outcome: Outcome::Holds,
                         stats,
@@ -726,7 +726,6 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
                     },
                     Err(violation) => {
                         let kind = property.witness_kind(&violation);
-                        let sym = parts.symmetry.as_ref();
                         violation_verdict(parts.explorer, sym, graph, violation, kind)
                     }
                 },

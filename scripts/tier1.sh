@@ -26,6 +26,11 @@ cargo fmt --all -- --check
 echo "==> repository benchmark's own tests (repro_bench)"
 python3 -m unittest discover -s repro_bench -p 'test_*.py'
 
+echo "==> paper tables (the 13 exp_* stdouts against repro_bench/expected)"
+# Every T/F table, byte for byte (F1's timing and thread cells masked),
+# compared by the repository benchmark's own stdout_matches.
+python3 scripts/paper_tables.py target/release
+
 echo "==> report smoke (exp_t2_dac at n = 2, schema- and trace-validated)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
