@@ -498,11 +498,11 @@ fn write_speedup_report(
             ratio(raw6.configs.len(), reduced6.configs.len()),
         )
         .set("n6_speedup_reduced_vs_raw", round2(seq6_min / reduced6_min))
-        .set("n6_ws_steals", ws6.stats.steals)
-        .set("n6_ws_steal_fails", ws6.stats.steal_fails)
-        .set("n6_ws_local_hits", ws6.stats.local_hits)
-        .set("n6_ws_park_count", ws6.stats.park_count)
-        .set("n6_ws_deque_grows", ws6.stats.deque_grows)
+        .set("n6_ws_steals", ws6.stats.steals())
+        .set("n6_ws_steal_fails", ws6.stats.steal_fails())
+        .set("n6_ws_local_hits", ws6.stats.local_hits())
+        .set("n6_ws_park_count", ws6.stats.park_count())
+        .set("n6_ws_deque_grows", ws6.stats.deque_grows())
         // Level-expand latency quantiles from the always-on histograms of
         // the sequential n = 6 run (octave resolution — see HistogramNs).
         // They ride into `BENCH_history.jsonl` via perf_smoke, giving the
@@ -533,11 +533,11 @@ fn write_speedup_report(
         .set("kset_seq_median_ns", kseq_ns.round())
         .set("kset_ws_median_ns", kws_ns.round())
         .set("kset_speedup_par_vs_seq", round2(kseq_min / kws_min))
-        .set("kset_ws_steals", ksetg.stats.steals)
-        .set("kset_ws_steal_fails", ksetg.stats.steal_fails)
-        .set("kset_ws_local_hits", ksetg.stats.local_hits)
-        .set("kset_ws_park_count", ksetg.stats.park_count)
-        .set("kset_ws_deque_grows", ksetg.stats.deque_grows)
+        .set("kset_ws_steals", ksetg.stats.steals())
+        .set("kset_ws_steal_fails", ksetg.stats.steal_fails())
+        .set("kset_ws_local_hits", ksetg.stats.local_hits())
+        .set("kset_ws_park_count", ksetg.stats.park_count())
+        .set("kset_ws_deque_grows", ksetg.stats.deque_grows())
         .set("dac_sym_n", DAC_SYM_N)
         .set("dac_sym_seq_min_ns", dseq_min.round())
         .set("dac_sym_par_min_ns", dpar_min.round())

@@ -96,6 +96,7 @@ fn validate_trace(path: &Path) -> Result<usize, String> {
             Some("progress") => validate_progress_event(&doc),
             Some("explore.recruit") => validate_numeric(&doc, "explore.recruit", RECRUIT_FIELDS),
             Some("level") => validate_numeric(&doc, "level", LEVEL_FIELDS),
+            Some("ws.done") => validate_numeric(&doc, "ws.done", WORKER_FIELDS),
             _ => Ok(()),
         };
         checked.map_err(|e| format!("{}:{}: {e}", path.display(), lineno + 1))?;
@@ -111,6 +112,24 @@ const RECRUIT_FIELDS: &[&str] = &["level", "at_us", "helpers", "frontier"];
 
 /// Numeric fields of the engine's per-level `level` event.
 const LEVEL_FIELDS: &[&str] = &["level", "width", "transitions", "dedup", "elapsed_us"];
+
+/// Numeric fields of a work-stealing worker's `ws.done` record: the keys
+/// of `WorkerStats::to_json`.
+const WORKER_FIELDS: &[&str] = &[
+    "worker",
+    "expanded",
+    "transitions",
+    "steals",
+    "steal_fails",
+    "local_hits",
+    "max_deque_depth",
+    "idle_spins",
+    "park_count",
+    "deque_grows",
+    "idle_us",
+    "parked_us",
+    "busy_us",
+];
 
 /// Checks that `doc` (a `name` event) carries every field of `fields` as a
 /// number.
@@ -417,6 +436,36 @@ mod tests {
         )
         .expect("test event");
         assert!(validate_numeric(&level, "level", LEVEL_FIELDS).is_ok());
+    }
+
+    #[test]
+    fn worker_records_require_every_worker_stats_field() {
+        let stats = lbsa_explorer::WorkerStats {
+            worker: 1,
+            expanded: 40,
+            ..lbsa_explorer::WorkerStats::default()
+        };
+        let doc = stats.to_json();
+        let keys: Vec<&str> = doc
+            .as_obj()
+            .expect("an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, WORKER_FIELDS, "the list follows WorkerStats::to_json");
+        let done = Json::parse(
+            r#"{"seq":9,"t_us":400,"event":"ws.done","worker":1,"expanded":40,
+                "transitions":90,"steals":2,"steal_fails":5,"local_hits":38,
+                "max_deque_depth":7,"idle_spins":4,"park_count":1,"deque_grows":0,
+                "idle_us":12,"parked_us":100,"busy_us":0}"#,
+        )
+        .expect("test event");
+        assert!(validate_numeric(&done, "ws.done", WORKER_FIELDS).is_ok());
+        let no_steals =
+            Json::parse(r#"{"event":"ws.done","worker":1,"expanded":40}"#).expect("test event");
+        let err = validate_numeric(&no_steals, "ws.done", WORKER_FIELDS)
+            .expect_err("transitions required");
+        assert!(err.contains("transitions"), "err: {err}");
     }
 
     #[test]

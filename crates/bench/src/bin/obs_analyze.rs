@@ -227,11 +227,11 @@ fn analyze_trace(path: &Path, events: &[Json]) -> Json {
     doc
 }
 
-/// One row per worker, merged from the assembly-time `ws.worker` summaries
-/// and the steal attribution of the in-run `ws.steal` events.
+/// One row per worker, merged from the workers' `ws.done` records and the
+/// steal attribution of the in-run `ws.steal` events.
 fn worker_rows(events: &[Json]) -> Vec<Json> {
     let mut rows: Vec<Json> = Vec::new();
-    for e in events.iter().filter(|e| name_of(e) == "ws.worker") {
+    for e in events.iter().filter(|e| name_of(e) == "ws.done") {
         let Some(w) = field_i64(e, "worker") else {
             continue;
         };
@@ -281,6 +281,8 @@ fn worker_rows(events: &[Json]) -> Vec<Json> {
         }
         rows.push(row);
     }
+    // Workers sign off in completion order; rows go in worker order.
+    rows.sort_by_key(|row| field_i64(row, "worker"));
     rows
 }
 
@@ -844,10 +846,10 @@ mod tests {
                 r#"{"seq":2,"t_us":9,"event":"ws.steal","worker":1,"victim":0,"outcome":"hit","latency_us":1}"#,
             ),
             ev(
-                r#"{"seq":3,"t_us":20,"event":"ws.worker","worker":0,"expanded":10,"transitions":20,"steals":0,"steal_fails":1,"local_hits":10,"busy_us":15,"idle_us":5}"#,
+                r#"{"seq":3,"t_us":20,"event":"ws.done","worker":0,"expanded":10,"transitions":20,"steals":0,"steal_fails":1,"local_hits":10,"busy_us":15,"idle_us":5}"#,
             ),
             ev(
-                r#"{"seq":4,"t_us":21,"event":"ws.worker","worker":1,"expanded":4,"transitions":8,"steals":2,"steal_fails":0,"local_hits":2,"busy_us":5,"idle_us":15}"#,
+                r#"{"seq":4,"t_us":21,"event":"ws.done","worker":1,"expanded":4,"transitions":8,"steals":2,"steal_fails":0,"local_hits":2,"busy_us":5,"idle_us":15}"#,
             ),
         ];
         let rows = worker_rows(&events);
@@ -867,10 +869,10 @@ mod tests {
     #[test]
     fn steal_storm_detection_thresholds() {
         let quiet = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":100,"steal_fails":10,"idle_spins":10}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":100,"steal_fails":10,"idle_spins":10}"#,
         )];
         let storm = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"steal_fails":600,"idle_spins":600}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"steal_fails":600,"idle_spins":600}"#,
         )];
         assert_eq!(
             steal_storm(&quiet).get("detected").and_then(Json::as_bool),
@@ -887,14 +889,14 @@ mod tests {
         // Same 600 failed sweeps, but 580 ended in a timed park: the
         // worker was asleep, not burning a core — no storm.
         let parked = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"steal_fails":600,"idle_spins":20,"park_count":580,"parked_us":58000}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"steal_fails":600,"idle_spins":20,"park_count":580,"parked_us":58000}"#,
         )];
         let report = steal_storm(&parked);
         assert_eq!(report.get("detected").and_then(Json::as_bool), Some(false));
         assert_eq!(report.get("parked").and_then(Json::as_i64), Some(580));
         // But a genuinely spinning majority still trips detection.
         let spinning = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"steal_fails":600,"idle_spins":550,"park_count":50,"parked_us":5000}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"steal_fails":600,"idle_spins":550,"park_count":50,"parked_us":5000}"#,
         )];
         assert_eq!(
             steal_storm(&spinning)
@@ -907,7 +909,7 @@ mod tests {
     #[test]
     fn worker_rows_carry_lock_free_engine_counters() {
         let events = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"transitions":20,"steals":1,"steal_fails":3,"local_hits":9,"idle_spins":2,"park_count":4,"parked_us":400,"deque_grows":2,"busy_us":10,"idle_us":2}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"transitions":20,"steals":1,"steal_fails":3,"local_hits":9,"idle_spins":2,"park_count":4,"parked_us":400,"deque_grows":2,"busy_us":10,"idle_us":2}"#,
         )];
         let rows = worker_rows(&events);
         assert_eq!(field_i64(&rows[0], "park_count"), Some(4));
@@ -915,7 +917,7 @@ mod tests {
         assert_eq!(field_i64(&rows[0], "deque_grows"), Some(2));
         // Old traces without the fields default to zero, not absence.
         let old = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"busy_us":10,"idle_us":2}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"busy_us":10,"idle_us":2}"#,
         )];
         let rows = worker_rows(&old);
         assert_eq!(field_i64(&rows[0], "park_count"), Some(0));

@@ -125,7 +125,7 @@ fn follow_trace(
 }
 
 /// Accumulated per-worker view, fed by `ws.expand` beats and finalized by
-/// the assembly-time `ws.worker` summary.
+/// the worker's `ws.done` record.
 #[derive(Default)]
 struct WorkerRow {
     expanded: i64,
@@ -202,6 +202,9 @@ impl Cockpit {
                     }
                 }
                 row.prev_beat = Some((t_us, expanded));
+                // Beats and the final record carry the worker's steal count.
+                let steals = event.get("steals").and_then(Json::as_i64).unwrap_or(0);
+                row.steals = row.steals.max(steals);
             }
             "ws.steal" => {
                 if event.get("outcome").and_then(Json::as_str) != Some("hit") {
@@ -216,18 +219,6 @@ impl Cockpit {
                 let row = self.workers.entry(thief).or_default();
                 row.steals += 1;
                 *row.victims.entry(victim).or_insert(0) += 1;
-            }
-            "ws.worker" => {
-                let Some(id) = event.get("worker").and_then(Json::as_i64) else {
-                    return;
-                };
-                let row = self.workers.entry(id).or_default();
-                row.expanded = row
-                    .expanded
-                    .max(event.get("expanded").and_then(Json::as_i64).unwrap_or(0));
-                row.steals = row
-                    .steals
-                    .max(event.get("steals").and_then(Json::as_i64).unwrap_or(0));
             }
             "sample.batch" => {
                 self.sample_batches += 1;

@@ -20,6 +20,7 @@ use lbsa_explorer::{
     Exploration, ExplorationGraph, Explorer, Limits, MemorySink, Outcome, Tracer, Violation,
 };
 use lbsa_protocols::dac::DacFromPac;
+use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{Protocol, Step, Symmetry};
 use lbsa_support::check::run_cases;
 use lbsa_support::rng::SmallRng;
@@ -392,7 +393,7 @@ fn assert_pool_accounting<L>(ws: &ExplorationGraph<L>, threads: usize, what: &st
     assert_eq!(ws.stats.work_stealing(), threads > 1, "{what}: recruited");
     if threads > 1 {
         assert_eq!(
-            ws.stats.local_hits + ws.stats.steals,
+            ws.stats.local_hits() + ws.stats.steals(),
             ws.configs.len() as u64,
             "{what}: every config is either popped locally or stolen"
         );
@@ -608,4 +609,70 @@ fn random_small_protocols_are_thread_count_independent() {
             &format!("random protocol n={n} phases={phases}"),
         );
     });
+}
+
+/// Each process writes its pid to a register until it has taken
+/// `3 + pid` steps; its next operation then names object `1 + pid`, which
+/// does not exist. The first such node in BFS order sits a few levels
+/// below the root, while a depth-first pool worker can meet another
+/// process's out-of-range object first.
+#[derive(Debug)]
+struct OutOfRangeAfter {
+    n: usize,
+}
+
+impl Protocol for OutOfRangeAfter {
+    type LocalState = u8;
+
+    fn num_processes(&self) -> usize {
+        self.n
+    }
+
+    fn init(&self, _pid: Pid) -> u8 {
+        0
+    }
+
+    fn pending_op(&self, pid: Pid, steps: &u8) -> (ObjId, Op) {
+        let obj = if usize::from(*steps) < 3 + pid.index() {
+            ObjId(0)
+        } else {
+            ObjId(1 + pid.index())
+        };
+        (obj, Op::Write(int(pid.index() as i64)))
+    }
+
+    fn on_response(&self, _pid: Pid, steps: &u8, _resp: Value) -> Step<u8> {
+        Step::Continue(steps + 1)
+    }
+}
+
+#[test]
+fn a_step_error_in_the_pool_is_the_one_the_sequential_bfs_meets_first() {
+    let p = OutOfRangeAfter { n: 4 };
+    let objects = vec![AnyObject::register()];
+    let explorer = Explorer::new(&p, &objects);
+    let reference = explorer
+        .exploration()
+        .threads(1)
+        .run()
+        .expect_err("an out-of-range object stops the run");
+    assert!(
+        matches!(reference, RuntimeError::ObjIdOutOfRange { .. }),
+        "unexpected error {reference:?}"
+    );
+    for threads in [2, 4, 8] {
+        let sink = MemorySink::new();
+        let err = explorer
+            .exploration()
+            .threads(threads)
+            .force_parallel()
+            .trace(Tracer::new(sink.clone()))
+            .run()
+            .expect_err("the pool meets the error too");
+        assert!(
+            sink.names().contains(&"explore.recruit"),
+            "{threads} threads: the pool ran"
+        );
+        assert_eq!(err, reference, "{threads} threads: a different error");
+    }
 }

@@ -195,7 +195,7 @@ fn work_stealing_stats_reconcile() {
             "{what}: every transition is a dedup hit or a discovery"
         );
         assert_eq!(
-            stats.local_hits + stats.steals,
+            stats.local_hits() + stats.steals(),
             g.configs.len() as u64,
             "{what}: every config is popped locally or stolen"
         );

@@ -69,6 +69,19 @@ fn concurrent_ws_workers_emit_one_totally_ordered_stream() {
         .filter_map(|e| e.fields.get("worker").and_then(Json::as_i64))
         .collect();
     assert_eq!(workers.len(), 4, "one ws.done per worker: {workers:?}");
+    // Each worker's record is its row of the run's stats, field for field.
+    for e in events.iter().filter(|e| e.name == "ws.done") {
+        let w = e
+            .fields
+            .get("worker")
+            .and_then(Json::as_i64)
+            .expect("worker id");
+        assert_eq!(
+            e.fields,
+            g.stats.workers[w as usize].to_json(),
+            "ws.done of worker {w}"
+        );
+    }
 }
 
 #[test]

@@ -53,7 +53,9 @@
 //! Deduplication never compares full configurations: object states and
 //! process statuses are hash-consed into `u32` ids
 //! ([`crate::intern::Interner`]), and a configuration is keyed by its short
-//! id vector in a sharded index ([`crate::intern::ConcurrentIndex`]).
+//! id vector in a sharded index ([`crate::intern::ConcurrentIndex`]). The
+//! sequential BFS and the pool's workers expand a node with the same code,
+//! reaching these tables and the run's memos exclusively or shared.
 //!
 //! Every exploration reports [`ExploreStats`] — throughput, dedup rate,
 //! frontier shape, per-level timing, the recruitment point — on the
@@ -68,15 +70,18 @@ use crate::stats::{
     WorkerStats,
 };
 use crate::symmetry::ConfigSymmetry;
-use lbsa_core::spec::ObjectSpec;
+use lbsa_core::spec::{ObjectSpec, Outcomes};
 use lbsa_core::{AnyObject, AnyState, ObjId, Op, Pid, Value};
 use lbsa_runtime::error::RuntimeError;
-use lbsa_runtime::process::{ProcStatus, Protocol, Step, Symmetry};
+use lbsa_runtime::process::{ProcStatus, Protocol, Symmetry};
 use lbsa_support::deque as lfdeque;
+use lbsa_support::hash::{FxHashMap, FxHasher};
 use lbsa_support::json::Json;
 use lbsa_support::obs::{Counter, HistogramNs, Registry, TimerNs, Tracer};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -511,109 +516,311 @@ impl<L> ExplorationGraph<L> {
     }
 }
 
-/// Canonicalization memo for symmetry-reduced exploration: maps a raw
-/// successor's **delta-patched compact key** (the parent's canonical key
-/// with the stepped object-state and process-status slots replaced) to the
-/// successor's canonical form.
-///
-/// Every graph node under reduction is canonical, so a successor is fully
-/// determined by `(parent key, patched slots)` — the patched key. Retry
-/// loops and diamond interleavings reproduce the same patched keys from
-/// thousands of parents; on a hit the engine skips materializing the raw
-/// successor *and* the whole orbit computation. Entries hold both the
-/// canonical compact key (for dedup probing) and the canonical
-/// configuration (for the hit that still discovers a new node).
-///
-/// Sharded and lock-guarded like [`TransitionMemo`]: the sequential BFS
-/// reaches it through the lock-free `&mut` accessors, work-stealing helpers
-/// share it by reference.
-type CanonShard<L> = lbsa_support::hash::FxHashMap<CompactConfig, CanonEntry<L>>;
+/// A sharded, lock-guarded memo: the store behind a run's transition memo
+/// and its canon memo (see [`Tables`]). The sequential BFS reaches it
+/// through `&mut` and takes no lock; pool workers share it by reference
+/// and take the shard locks. So do the lookup counters: an atomic add
+/// per lookup is a visible share of a small sequential run.
+struct Memo<K, V> {
+    shards: [RwLock<FxHashMap<K, V>>; SHARDS],
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<K: Eq + Hash, V> Memo<K, V> {
+    fn new() -> Self {
+        Memo {
+            shards: std::array::from_fn(|_| RwLock::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    fn shard_of<Q: Hash + ?Sized>(key: &Q) -> usize {
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        (h.finish() as usize) & (SHARDS - 1)
+    }
+
+    /// Applies `read` to `key`'s entry under its shard's read lock.
+    fn get<Q, R>(&self, key: &Q, read: impl FnOnce(&V) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let shard = self.shards[Self::shard_of(key)].read();
+        let found = shard.expect("memo lock poisoned").get(key).map(read);
+        let count = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// [`Memo::get`] for exclusive access (no lock).
+    fn get_mut<Q, R>(&mut self, key: &Q, read: impl FnOnce(&V) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let shard = self.shards[Self::shard_of(key)].get_mut();
+        let found = shard.expect("memo lock poisoned").get(key).map(read);
+        let count = if found.is_some() {
+            &mut self.hits
+        } else {
+            &mut self.misses
+        };
+        *count.get_mut() += 1;
+        found
+    }
+
+    fn insert(&self, key: K, value: V) {
+        let shard = &self.shards[Self::shard_of(&key)];
+        shard
+            .write()
+            .expect("memo lock poisoned")
+            .insert(key, value);
+    }
+
+    /// [`Memo::insert`] for exclusive access (no lock).
+    fn insert_mut(&mut self, key: K, value: V) {
+        let shard = self.shards[Self::shard_of(&key)].get_mut();
+        shard.expect("memo lock poisoned").insert(key, value);
+    }
+}
+
+/// The interned `(object-state id, proc-status id)` outcome pairs of one
+/// step, in outcome order.
+type Pairs = Box<[(u32, u32)]>;
 
 /// One canon-memo entry: the canonical compact key and its configuration.
 type CanonEntry<L> = (CompactConfig, Arc<Configuration<L>>);
 
-struct CanonMemo<L> {
-    shards: Vec<RwLock<CanonShard<L>>>,
-    hits: Counter,
-    misses: Counter,
-    bytes: Counter,
+/// The lookup tables of one run. Every node expansion reads and fills
+/// them, on the sequential BFS and on the work-stealing pool it hands off
+/// to, which takes them over as they stand.
+struct Tables<L> {
+    states: Interner<AnyState>,
+    procs: Interner<ProcStatus<L>>,
+    index: ConcurrentIndex,
+    /// The transition memo. By the determinism contract the successors of
+    /// one `(pid, local state, object state)` triple are a pure function,
+    /// and after interning the triple is three integers. The memo maps
+    /// `(object-state id, proc-status id, pid)` to the interned
+    /// `(object-state, proc-status)` id pairs of the successors, in outcome
+    /// order, so a recurring step (retry loops revisit the same local state
+    /// against the same object state from thousands of configurations)
+    /// runs neither the specification nor the protocol.
+    steps: Memo<(u32, u32, u32), Pairs>,
+    /// The canon memo of a symmetry-reduced run: a raw successor's
+    /// delta-patched key (the parent's canonical key with the stepped
+    /// slots replaced) to the successor's canonical key and configuration.
+    /// Every node is canonical, so the patched key determines the raw
+    /// successor; retry loops and diamond interleavings reproduce the same
+    /// patched keys from thousands of parents, and on a hit neither the raw
+    /// successor nor the orbit computation is needed.
+    canon: Memo<CompactConfig, CanonEntry<L>>,
+    /// Estimated heap bytes of the canon memo, tracked at insert time (O(1)
+    /// to read, so a live watcher can poll it).
+    canon_bytes: Counter,
 }
 
-impl<L> CanonMemo<L> {
+impl<L: Clone + Eq + Hash> Tables<L> {
     fn new() -> Self {
-        CanonMemo {
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(Default::default()))
-                .collect(),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            bytes: Counter::new(),
+        Tables {
+            states: Interner::new(),
+            procs: Interner::new(),
+            index: ConcurrentIndex::new(),
+            steps: Memo::new(),
+            canon: Memo::new(),
+            canon_bytes: Counter::new(),
         }
     }
 
-    /// Approximate heap bytes held by the memo, tracked incrementally at
-    /// insert time (structural estimate: key payloads plus a shallow
-    /// `Configuration`; O(1) to read, so a live watcher can poll it).
-    fn approx_bytes(&self) -> usize {
-        usize::try_from(self.bytes.get()).unwrap_or(usize::MAX)
+    /// Estimated heap bytes of the two interners.
+    fn interner_bytes(&self) -> usize {
+        self.states.approx_bytes() + self.procs.approx_bytes()
     }
 
-    /// Counts one lookup and passes its result through.
-    fn count(&self, found: Option<CanonEntry<L>>) -> Option<CanonEntry<L>> {
-        match found {
-            Some(_) => self.hits.bump(),
-            None => self.misses.bump(),
-        }
-        found
-    }
-
-    fn get(&self, raw_key: &[u32]) -> Option<CanonEntry<L>> {
-        let found = self.shards[ConcurrentIndex::shard_of(raw_key)]
-            .read()
-            .expect("canon memo lock poisoned")
-            .get(raw_key)
-            .cloned();
-        self.count(found)
-    }
-
-    /// [`CanonMemo::get`] for exclusive access (no lock).
-    fn get_mut(&mut self, raw_key: &[u32]) -> Option<CanonEntry<L>> {
-        let found = self.shards[ConcurrentIndex::shard_of(raw_key)]
-            .get_mut()
-            .expect("canon memo lock poisoned")
-            .get(raw_key)
-            .cloned();
-        self.count(found)
-    }
-
-    /// Accounts one entry's bytes; 16 per Arc header, 24 assumed map-slot
+    /// Accounts one canon-memo entry: key payloads plus a shallow
+    /// `Configuration`, 16 bytes per `Arc` header and 24 assumed map-slot
     /// overhead, matching the estimate discipline of
     /// `Interner::approx_bytes`.
-    fn account(&self, raw_key: &CompactConfig, entry: &CanonEntry<L>) {
+    fn account_canon(&self, raw: &[u32], entry: &CanonEntry<L>) {
         let bytes = 2 * 16
             + 24
-            + (raw_key.len() + entry.0.len()) * std::mem::size_of::<u32>()
+            + (raw.len() + entry.0.len()) * std::mem::size_of::<u32>()
             + std::mem::size_of::<(CompactConfig, CanonEntry<L>)>()
             + std::mem::size_of::<Configuration<L>>();
-        self.bytes.add(bytes as u64);
+        self.canon_bytes.add(bytes as u64);
+    }
+}
+
+/// How [`Explorer::expand`] reaches a run's [`Tables`]. `&mut Tables` is
+/// the sequential BFS's exclusive access: it takes no lock, and a
+/// transition-memo hit touches no reference count. [`Shared`] is a pool
+/// worker's: shard locks, behind a private L1 of the transition memo.
+trait Access<L> {
+    fn intern_state(&mut self, state: &AnyState) -> u32;
+    fn intern_proc(&mut self, status: &ProcStatus<L>) -> u32;
+    /// The object state and the process status behind two interned ids.
+    fn resolve(&mut self, state: u32, proc: u32) -> (AnyState, ProcStatus<L>);
+    /// Copies the memoized outcome pairs of `step` into `out`; `false` on
+    /// a miss.
+    fn pairs(&mut self, step: (u32, u32, u32), out: &mut Vec<(u32, u32)>) -> bool;
+    fn remember_pairs(&mut self, step: (u32, u32, u32), pairs: Pairs);
+    fn canon(&mut self, raw: &[u32]) -> Option<CanonEntry<L>>;
+    fn remember_canon(&mut self, raw: &[u32], entry: CanonEntry<L>);
+    /// `key`'s node index, and `true` if this call claimed it: the claimer
+    /// owns the node and must record and schedule it.
+    fn claim(&mut self, key: &[u32]) -> (u32, bool);
+}
+
+/// Replaces `out`'s contents with `pairs`.
+fn copy_pairs(pairs: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
+    out.clear();
+    out.extend_from_slice(pairs);
+}
+
+impl<L: Clone + Eq + Hash> Access<L> for Tables<L> {
+    fn intern_state(&mut self, state: &AnyState) -> u32 {
+        self.states.intern_mut(state)
     }
 
-    fn insert(&self, raw_key: CompactConfig, entry: CanonEntry<L>) {
-        self.account(&raw_key, &entry);
-        self.shards[ConcurrentIndex::shard_of(&raw_key)]
-            .write()
-            .expect("canon memo lock poisoned")
-            .insert(raw_key, entry);
+    fn intern_proc(&mut self, status: &ProcStatus<L>) -> u32 {
+        self.procs.intern_mut(status)
     }
 
-    /// [`CanonMemo::insert`] for exclusive access (no lock).
-    fn insert_mut(&mut self, raw_key: CompactConfig, entry: CanonEntry<L>) {
-        self.account(&raw_key, &entry);
-        self.shards[ConcurrentIndex::shard_of(&raw_key)]
-            .get_mut()
-            .expect("canon memo lock poisoned")
-            .insert(raw_key, entry);
+    fn resolve(&mut self, state: u32, proc: u32) -> (AnyState, ProcStatus<L>) {
+        let state = self.states.resolve_mut(state).clone();
+        (state, self.procs.resolve_mut(proc).clone())
     }
+
+    fn pairs(&mut self, step: (u32, u32, u32), out: &mut Vec<(u32, u32)>) -> bool {
+        self.steps.get_mut(&step, |p| copy_pairs(p, out)).is_some()
+    }
+
+    fn remember_pairs(&mut self, step: (u32, u32, u32), pairs: Pairs) {
+        self.steps.insert_mut(step, pairs);
+    }
+
+    fn canon(&mut self, raw: &[u32]) -> Option<CanonEntry<L>> {
+        self.canon.get_mut(raw, Clone::clone)
+    }
+
+    fn remember_canon(&mut self, raw: &[u32], entry: CanonEntry<L>) {
+        self.account_canon(raw, &entry);
+        self.canon.insert_mut(raw.into(), entry);
+    }
+
+    fn claim(&mut self, key: &[u32]) -> (u32, bool) {
+        self.index.get_or_insert_mut(key)
+    }
+}
+
+/// A pool worker's access to the run's [`Tables`]: shared, through the
+/// shard locks, with a private L1 in front of the transition memo. Repeat
+/// steps, the common case on dense graphs, resolve with a plain map lookup
+/// instead of a shard lock; the shared memo stays the source of truth, so
+/// workers still reuse each other's first computations.
+struct Shared<'t, L> {
+    tables: &'t Tables<L>,
+    l1: FxHashMap<(u32, u32, u32), Pairs>,
+    l1_hits: u64,
+}
+
+impl<L: Clone + Eq + Hash> Access<L> for Shared<'_, L> {
+    fn intern_state(&mut self, state: &AnyState) -> u32 {
+        self.tables.states.intern(state)
+    }
+
+    fn intern_proc(&mut self, status: &ProcStatus<L>) -> u32 {
+        self.tables.procs.intern(status)
+    }
+
+    fn resolve(&mut self, state: u32, proc: u32) -> (AnyState, ProcStatus<L>) {
+        let state = self.tables.states.resolve_with(state, Clone::clone);
+        (state, self.tables.procs.resolve_with(proc, Clone::clone))
+    }
+
+    fn pairs(&mut self, step: (u32, u32, u32), out: &mut Vec<(u32, u32)>) -> bool {
+        if let Some(pairs) = self.l1.get(&step) {
+            self.l1_hits += 1;
+            copy_pairs(pairs, out);
+            return true;
+        }
+        let Some(pairs) = self.tables.steps.get(&step, Clone::clone) else {
+            return false;
+        };
+        copy_pairs(&pairs, out);
+        self.l1.insert(step, pairs);
+        true
+    }
+
+    fn remember_pairs(&mut self, step: (u32, u32, u32), pairs: Pairs) {
+        self.l1.insert(step, pairs.clone());
+        self.tables.steps.insert(step, pairs);
+    }
+
+    fn canon(&mut self, raw: &[u32]) -> Option<CanonEntry<L>> {
+        self.tables.canon.get(raw, Clone::clone)
+    }
+
+    fn remember_canon(&mut self, raw: &[u32], entry: CanonEntry<L>) {
+        self.tables.account_canon(raw, &entry);
+        self.tables.canon.insert(raw.into(), entry);
+    }
+
+    fn claim(&mut self, key: &[u32]) -> (u32, bool) {
+        self.tables.index.get_or_insert(key)
+    }
+}
+
+/// Interns every component of `config` into a compact id vector:
+/// object-state ids followed by process-status ids.
+fn compact<L, A: Access<L>>(config: &Configuration<L>, tables: &mut A) -> CompactConfig {
+    let mut key = Vec::with_capacity(config.object_states.len() + config.procs.len());
+    key.extend(config.object_states.iter().map(|s| tables.intern_state(s)));
+    key.extend(config.procs.iter().map(|p| tables.intern_proc(p)));
+    key.into()
+}
+
+/// `parent` with object `obj`'s state and process `pid`'s status replaced,
+/// built from parts: the two replaced slots are never cloned.
+fn patched<L: Clone>(
+    parent: &Configuration<L>,
+    obj: usize,
+    state: AnyState,
+    pid: usize,
+    status: ProcStatus<L>,
+) -> Configuration<L> {
+    let (mut state, mut status) = (Some(state), Some(status));
+    Configuration {
+        object_states: (parent.object_states.iter().enumerate())
+            .map(|(j, s)| match state.take_if(|_| j == obj) {
+                Some(state) => state,
+                None => s.clone(),
+            })
+            .collect(),
+        procs: (parent.procs.iter().enumerate())
+            .map(|(j, p)| match status.take_if(|_| j == pid) {
+                Some(status) => status,
+                None => p.clone(),
+            })
+            .collect(),
+    }
+}
+
+/// Per-node buffers of [`Explorer::expand`], reused for every node one
+/// thread expands: the successor key being patched, the current step's
+/// outcome pairs, and the node's edges.
+#[derive(Default)]
+struct Scratch {
+    key: Vec<u32>,
+    pairs: Vec<(u32, u32)>,
+    edges: Vec<Edge>,
 }
 
 /// One pending node of the work-stealing pool: its assigned index, its
@@ -642,71 +849,21 @@ const WS_PARK: Duration = Duration::from_micros(100);
 /// Upper bound on tasks transferred by one batched steal.
 const WS_STEAL_MAX: usize = 32;
 
-/// What one work-stealing worker hands back at join: the sub-graph it
-/// built and its scheduling counters. Node indices come from the shared
-/// [`ConcurrentIndex`], so the per-worker pieces assemble by index.
+/// What one work-stealing worker hands back at join besides its
+/// [`WorkerStats`]: the sub-graph it built. Node indices come from the
+/// shared [`ConcurrentIndex`], so the per-worker pieces assemble by index.
 struct WsWorkerOut<L> {
     /// Flat pool of every edge this worker emitted, in expansion order —
     /// one growing allocation instead of a `Vec` per task.
     edge_pool: Vec<Edge>,
-    /// `(node, start, len)` slices of [`WsWorkerOut::edge_pool`] for every
-    /// node this worker expanded.
-    tasks: Vec<(u32, u32, u32)>,
-    /// `(node, configuration)` for every node this worker expanded —
-    /// ownership rides the task, so the record is made where it ends.
-    configs: Vec<(u32, Configuration<L>)>,
-    transitions: usize,
-    steals: u64,
-    steal_fails: u64,
-    local_hits: u64,
-    /// Deepest this worker's own deque ever got (sampled at push time).
-    max_deque_depth: usize,
-    /// CPU-burning backoff rounds (spin or yield) while looking for work.
-    /// Bounded per idle episode by the backoff thresholds — parked waits
-    /// count in `park_count`, not here.
-    idle_spins: u64,
-    /// Times this worker parked after exhausting the spin/yield budget.
-    park_count: u64,
-    /// Nanoseconds spent parked — always measured (the park path is cold).
-    parked_ns: u64,
-    /// Times this worker's deque buffer grew (retiring its predecessor).
-    deque_grows: u64,
-    /// Final estimated footprint of this worker's deque buffers (live +
-    /// retired), read at loop exit while the owner end is still in scope.
-    deque_bytes: usize,
+    /// `(node, start, len, configuration)` for every node this worker
+    /// expanded: its slice of [`WsWorkerOut::edge_pool`], and its
+    /// configuration — ownership rides the task, so the record is made
+    /// where it ends.
+    nodes: Vec<(u32, u32, u32, Configuration<L>)>,
     /// Transition-memo hits served by this worker's private L1 map
-    /// without touching the shared sharded memo.
+    /// without touching the shared memo.
     memo_l1_hits: u64,
-    /// Nanoseconds spent in steal sweeps, spinning, and yielding — the
-    /// clock is only read on the no-local-work path, so this is always
-    /// measured. Excludes parked time.
-    idle_ns: u64,
-    /// Nanoseconds spent expanding tasks. Needs a clock read per task, so
-    /// per the overhead policy it stays zero unless the run is traced.
-    busy_ns: u64,
-}
-
-impl<L> Default for WsWorkerOut<L> {
-    fn default() -> Self {
-        WsWorkerOut {
-            edge_pool: Vec::new(),
-            tasks: Vec::new(),
-            configs: Vec::new(),
-            transitions: 0,
-            steals: 0,
-            steal_fails: 0,
-            local_hits: 0,
-            max_deque_depth: 0,
-            idle_spins: 0,
-            park_count: 0,
-            parked_ns: 0,
-            deque_grows: 0,
-            deque_bytes: 0,
-            memo_l1_hits: 0,
-            idle_ns: 0,
-            busy_ns: 0,
-        }
-    }
 }
 
 /// Canonicalizes through the optional probe timer: traced runs clock the
@@ -773,118 +930,10 @@ struct CanonProbe {
     hist: HistogramNs,
 }
 
-/// Memoized transition function.
-///
-/// By the determinism contract, the successors of one `(pid, local state,
-/// object state)` triple are a pure function — and after interning, the
-/// triple is three integers. The memo maps it to the interned
-/// `(object-state, proc-status)` id pairs of the successors, in outcome
-/// order, so recurring combinations (retry loops revisit the same local
-/// state against the same object state from thousands of configurations)
-/// skip the specification and protocol code entirely. One store serves the
-/// whole run: the sequential BFS uses the lock-free `&mut` shard access,
-/// work-stealing helpers the shared one.
-type MemoShard = lbsa_support::hash::FxHashMap<(u32, u32, u32), Arc<Pairs>>;
-
-struct TransitionMemo {
-    shards: Vec<RwLock<MemoShard>>,
-    /// Shared-path lookups only; the sequential BFS counts its own.
-    hits: Counter,
-    misses: Counter,
-}
-
-impl TransitionMemo {
-    fn new() -> Self {
-        TransitionMemo {
-            shards: (0..16)
-                .map(|_| RwLock::new(lbsa_support::hash::FxHashMap::default()))
-                .collect(),
-            hits: Counter::new(),
-            misses: Counter::new(),
-        }
-    }
-
-    fn shard_of(key: (u32, u32, u32)) -> usize {
-        (lbsa_support::hash::fx_hash(&key) as usize) & 15
-    }
-
-    /// The shard holding `key`, for exclusive (lock-free) access.
-    fn shard_mut(&mut self, key: (u32, u32, u32)) -> &mut MemoShard {
-        self.shards[Self::shard_of(key)]
-            .get_mut()
-            .expect("memo lock poisoned")
-    }
-
-    fn get(&self, key: (u32, u32, u32)) -> Option<Arc<Pairs>> {
-        let found = self.shards[Self::shard_of(key)]
-            .read()
-            .expect("memo lock poisoned")
-            .get(&key)
-            .cloned();
-        match found {
-            Some(_) => self.hits.bump(),
-            None => self.misses.bump(),
-        }
-        found
-    }
-
-    fn insert(&self, key: (u32, u32, u32), value: Pairs) -> Arc<Pairs> {
-        let arc = Arc::new(value);
-        self.shards[Self::shard_of(key)]
-            .write()
-            .expect("memo lock poisoned")
-            .insert(key, Arc::clone(&arc));
-        arc
-    }
-}
-
-/// The interned `(object-state id, proc-status id)` outcome pairs of one
-/// step, in outcome order. Steps of deterministic objects have exactly one
-/// outcome; keeping that case inline spares a heap allocation per memoized
-/// transition.
-#[derive(Debug)]
-enum Pairs {
-    One((u32, u32)),
-    Many(Vec<(u32, u32)>),
-}
-
-impl Pairs {
-    fn as_slice(&self) -> &[(u32, u32)] {
-        match self {
-            Pairs::One(pair) => std::slice::from_ref(pair),
-            Pairs::Many(pairs) => pairs,
-        }
-    }
-}
-
-/// How a step hands freshly computed values to an [`Interner`]. The two
-/// implementations let one `compute_pairs` body serve both execution modes:
-/// `&Interner` goes through the shard locks (work-stealing helpers), `&mut
-/// Interner` proves exclusivity and skips them (sequential BFS).
-trait InternSink<T> {
-    fn put(&mut self, value: &T) -> u32;
-}
-
-impl<T: Eq + std::hash::Hash + Clone> InternSink<T> for &Interner<T> {
-    fn put(&mut self, value: &T) -> u32 {
-        self.intern(value)
-    }
-}
-
-impl<T: Eq + std::hash::Hash + Clone> InternSink<T> for &mut Interner<T> {
-    fn put(&mut self, value: &T) -> u32 {
-        self.intern_mut(value)
-    }
-}
-
 /// The state of one exhaustive run: what the sequential BFS builds level
 /// by level, and what a work-stealing hand-off takes over as it stands.
 struct Run<L> {
-    state_interner: Interner<AnyState>,
-    proc_interner: Interner<ProcStatus<L>>,
-    index: ConcurrentIndex,
-    memo: TransitionMemo,
-    canon_memo: CanonMemo<L>,
+    tables: Tables<L>,
     /// Every discovered configuration, by node index.
     configs: Vec<Configuration<L>>,
     /// Outgoing edges of the expanded nodes `0..edges.len()`. BFS expands
@@ -892,7 +941,7 @@ struct Run<L> {
     edges: Vec<Vec<Edge>>,
     /// Compact keys of the next level — the nodes
     /// `edges.len()..configs.len()`, in index order — back to back in one
-    /// buffer, `scratch.len()` ids each.
+    /// buffer, one key length each.
     frontier: Vec<u32>,
     transitions: usize,
     dedup_hits: usize,
@@ -900,26 +949,12 @@ struct Run<L> {
     levels: Vec<LevelStats>,
     /// Time spent expanding: sequential levels plus the pool's run.
     expand: Duration,
-    /// Sequential-path transition-memo lookups (the shared path counts in
-    /// the memo itself).
-    memo_hits: u64,
-    memo_misses: u64,
-    /// Per-node scratch of the sequential path: the delta-patched key and
-    /// the node's edges, reused for every node.
-    scratch: Vec<u32>,
-    out: Vec<Edge>,
 }
 
 /// What a work-stealing hand-off adds to a run's stats.
-#[derive(Default)]
 struct WsReport {
     recruit: Recruit,
     workers: Vec<WorkerStats>,
-    steals: u64,
-    steal_fails: u64,
-    local_hits: u64,
-    park_count: u64,
-    deque_grows: u64,
     memo_l1_hits: u64,
     /// Assembly and canonical renumbering.
     merge: Duration,
@@ -1053,6 +1088,38 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         }
     }
 
+    /// What `pid` does next from `config`: its running local state, the
+    /// object and operation it applies, and the object's admissible
+    /// outcomes. The checks behind [`Explorer::successors_of`],
+    /// [`Explorer::step`] and the engine's transition-memo misses.
+    #[allow(clippy::type_complexity)]
+    fn outcomes_of<'c>(
+        &self,
+        config: &'c Configuration<P::LocalState>,
+        pid: Pid,
+    ) -> Result<(&'c P::LocalState, ObjId, Op, Outcomes<AnyState>), RuntimeError> {
+        let local = match config.procs.get(pid.index()) {
+            None => {
+                return Err(RuntimeError::PidOutOfRange {
+                    pid,
+                    len: config.procs.len(),
+                })
+            }
+            Some(ProcStatus::Running(s)) => s,
+            Some(_) => return Err(RuntimeError::ProcessNotRunning(pid)),
+        };
+        let (obj, op) = self.protocol.pending_op(pid, local);
+        let spec = self
+            .objects
+            .get(obj.index())
+            .ok_or(RuntimeError::ObjIdOutOfRange {
+                obj,
+                len: self.objects.len(),
+            })?;
+        let outs = spec.outcomes(&config.object_states[obj.index()], &op)?;
+        Ok((local, obj, op, outs))
+    }
+
     /// All configurations reachable from `config` by one step of `pid`, one
     /// per admissible object outcome (in outcome order).
     ///
@@ -1065,38 +1132,12 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         config: &Configuration<P::LocalState>,
         pid: Pid,
     ) -> Result<Vec<Configuration<P::LocalState>>, RuntimeError> {
-        let local = match config.procs.get(pid.index()) {
-            None => {
-                return Err(RuntimeError::PidOutOfRange {
-                    pid,
-                    len: config.procs.len(),
-                })
-            }
-            Some(ProcStatus::Running(s)) => s.clone(),
-            Some(_) => return Err(RuntimeError::ProcessNotRunning(pid)),
-        };
-        let (obj, op) = self.protocol.pending_op(pid, &local);
-        let spec = self
-            .objects
-            .get(obj.index())
-            .ok_or(RuntimeError::ObjIdOutOfRange {
-                obj,
-                len: self.objects.len(),
-            })?;
-        let outs = spec.outcomes(&config.object_states[obj.index()], &op)?;
+        let (local, obj, _, outs) = self.outcomes_of(config, pid)?;
         Ok(outs
-            .into_vec()
             .into_iter()
-            .map(|(response, obj_state)| {
-                let mut next = config.clone();
-                next.object_states[obj.index()] = obj_state;
-                next.procs[pid.index()] = match self.protocol.on_response(pid, &local, response) {
-                    Step::Continue(s) => ProcStatus::Running(s),
-                    Step::Decide(v) => ProcStatus::Decided(v),
-                    Step::Abort => ProcStatus::Aborted,
-                    Step::Halt => ProcStatus::Halted,
-                };
-                next
+            .map(|(response, state)| {
+                let status = self.protocol.on_response(pid, local, response).into();
+                patched(config, obj.index(), state, pid.index(), status)
             })
             .collect())
     }
@@ -1118,42 +1159,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         pid: Pid,
         outcome: usize,
     ) -> Result<StepRecord<P::LocalState>, RuntimeError> {
-        let local = match config.procs.get(pid.index()) {
-            None => {
-                return Err(RuntimeError::PidOutOfRange {
-                    pid,
-                    len: config.procs.len(),
-                })
-            }
-            Some(ProcStatus::Running(s)) => s.clone(),
-            Some(_) => return Err(RuntimeError::ProcessNotRunning(pid)),
-        };
-        let (obj, op) = self.protocol.pending_op(pid, &local);
-        let spec = self
-            .objects
-            .get(obj.index())
-            .ok_or(RuntimeError::ObjIdOutOfRange {
-                obj,
-                len: self.objects.len(),
-            })?;
-        let outs = spec
-            .outcomes(&config.object_states[obj.index()], &op)?
-            .into_vec();
+        let (local, obj, op, outs) = self.outcomes_of(config, pid)?;
         let len = outs.len();
-        let (response, obj_state) = outs
+        let (response, state) = outs
             .into_iter()
             .nth(outcome)
             .ok_or(RuntimeError::OutcomeOutOfRange { obj, outcome, len })?;
-        let mut next = config.clone();
-        next.object_states[obj.index()] = obj_state;
-        next.procs[pid.index()] = match self.protocol.on_response(pid, &local, response) {
-            Step::Continue(s) => ProcStatus::Running(s),
-            Step::Decide(v) => ProcStatus::Decided(v),
-            Step::Abort => ProcStatus::Aborted,
-            Step::Halt => ProcStatus::Halted,
-        };
+        let status = self.protocol.on_response(pid, local, response).into();
         Ok(StepRecord {
-            config: next,
+            config: patched(config, obj.index(), state, pid.index(), status),
             obj,
             op,
             response,
@@ -1245,6 +1259,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     // Live counters already hold the abandoned attempt.
                     if let Some(live) = live {
                         live.workers.set_usize(1);
+                        live.mem_deques.set(0);
                     }
                     root = r;
                     rerun_of = Some(Recruit {
@@ -1256,11 +1271,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         };
 
         let Run {
-            state_interner,
-            proc_interner,
-            index,
-            memo,
-            canon_memo,
+            tables,
             configs,
             mut edges,
             transitions,
@@ -1268,21 +1279,21 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             peak_frontier,
             levels,
             expand,
-            memo_hits,
-            memo_misses,
             ..
         } = *run;
         let expanded_count = edges.len();
         edges.resize_with(configs.len(), Vec::new);
         let expanded: Vec<bool> = (0..configs.len()).map(|i| i < expanded_count).collect();
-        let ws = ws.as_ref();
+        let (merge, memo_l1_hits, workers) = ws.map_or((Duration::ZERO, 0, Vec::new()), |w| {
+            (w.merge, w.memo_l1_hits, w.workers)
+        });
         let stats = ExploreStats {
             configs: configs.len(),
             expanded: expanded_count,
             transitions,
             dedup_hits,
-            distinct_object_states: state_interner.len(),
-            distinct_proc_statuses: proc_interner.len(),
+            distinct_object_states: tables.states.len(),
+            distinct_proc_statuses: tables.procs.len(),
             peak_frontier,
             threads,
             recruit,
@@ -1290,26 +1301,21 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             elapsed: started.elapsed(),
             phases: PhaseTimes {
                 expand,
-                merge: ws.map_or(Duration::ZERO, |w| w.merge),
+                merge,
                 canonicalize: acct.canon.timer.total(),
             },
-            memo_hits: memo_hits + memo.hits.get() + ws.map_or(0, |w| w.memo_l1_hits),
-            memo_misses: memo_misses + memo.misses.get(),
-            intern_hits: state_interner.hits() + proc_interner.hits(),
-            intern_misses: state_interner.misses() + proc_interner.misses(),
+            memo_hits: tables.steps.hits.load(Ordering::Relaxed) + memo_l1_hits,
+            memo_misses: tables.steps.misses.load(Ordering::Relaxed),
+            intern_hits: tables.states.hits() + tables.procs.hits(),
+            intern_misses: tables.states.misses() + tables.procs.misses(),
             canon_calls: sym.map_or(0, ConfigSymmetry::canon_calls) - acct.canon_calls,
             canon_patches: (sym.map_or(0, ConfigSymmetry::canon_fast_hits) - acct.canon_fast)
-                + canon_memo.hits.get(),
+                + tables.canon.hits.load(Ordering::Relaxed),
             canon_full: sym.map_or(0, ConfigSymmetry::canon_full_calls) - acct.canon_full,
-            steals: ws.map_or(0, |w| w.steals),
-            steal_fails: ws.map_or(0, |w| w.steal_fails),
-            local_hits: ws.map_or(0, |w| w.local_hits),
-            park_count: ws.map_or(0, |w| w.park_count),
-            deque_grows: ws.map_or(0, |w| w.deque_grows),
-            interner_bytes: state_interner.approx_bytes() + proc_interner.approx_bytes(),
-            index_bytes: index.approx_bytes(),
+            interner_bytes: tables.interner_bytes(),
+            index_bytes: tables.index.approx_bytes(),
             levels,
-            workers: ws.map_or_else(Vec::new, |w| w.workers.clone()),
+            workers,
             hist: {
                 acct.hists.canonicalize.merge(&acct.canon.hist);
                 acct.hists
@@ -1351,13 +1357,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             Some(s) => s.canonicalize(&initial),
             None => initial,
         };
-        let width = initial.object_states.len() + initial.procs.len();
         let mut run = Run {
-            state_interner: Interner::new(),
-            proc_interner: Interner::new(),
-            index: ConcurrentIndex::new(),
-            memo: TransitionMemo::new(),
-            canon_memo: CanonMemo::new(),
+            tables: Tables::new(),
             configs: Vec::new(),
             edges: Vec::new(),
             frontier: Vec::new(),
@@ -1366,20 +1367,17 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             peak_frontier: 0,
             levels: Vec::new(),
             expand: Duration::ZERO,
-            memo_hits: 0,
-            memo_misses: 0,
-            scratch: vec![0; width],
-            out: Vec::new(),
         };
-        let initial_key = self.compact(&initial, &run.state_interner, &run.proc_interner);
-        run.index.insert_mut(&initial_key);
+        let initial_key = compact(&initial, &mut run.tables);
+        run.tables.claim(&initial_key);
         run.configs.push(initial);
         run.frontier.extend_from_slice(&initial_key);
         let key_len = initial_key.len();
         let mut complete = true;
-        // Cumulative dedup already mirrored into the live registry, so the
-        // per-level live update adds exactly the level's delta.
-        let mut live_dedup_reported = 0usize;
+        // Per-node buffers, and the configurations a node's expansion
+        // claimed, appended to the graph once it is done.
+        let mut scratch = Scratch::default();
+        let mut fresh = Vec::new();
 
         while run.edges.len() < run.configs.len() {
             let width = run.configs.len() - run.edges.len();
@@ -1422,8 +1420,23 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             let frontier = std::mem::take(&mut run.frontier);
             let mut level_transitions = 0usize;
             for k in 0..take {
-                let parent_key = &frontier[k * key_len..(k + 1) * key_len];
-                level_transitions += self.expand_seq(&mut run, first + k, parent_key, ctx)?;
+                let key = &frontier[k * key_len..(k + 1) * key_len];
+                let config = &run.configs[first + k];
+                self.expand(
+                    &mut run.tables,
+                    ctx,
+                    config,
+                    key,
+                    &mut scratch,
+                    |_, key, config| {
+                        run.frontier.extend_from_slice(key);
+                        fresh.push(config);
+                    },
+                )?;
+                run.configs.append(&mut fresh);
+                level_transitions += scratch.edges.len();
+                // Exact-size allocation; the scratch keeps its capacity.
+                run.edges.push(scratch.edges.clone());
             }
             run.transitions += level_transitions;
             let elapsed = level_started.elapsed();
@@ -1435,15 +1448,11 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             if let Some(live) = ctx.live {
                 live.configs.add(take as u64);
                 live.transitions.add(level_transitions as u64);
-                live.dedup_hits
-                    .add((run.dedup_hits - live_dedup_reported) as u64);
-                live_dedup_reported = run.dedup_hits;
+                live.dedup_hits.add((level_transitions - new) as u64);
                 live.frontier_depth.set_usize(new);
-                live.mem_interner.set_usize(
-                    run.state_interner.approx_bytes() + run.proc_interner.approx_bytes(),
-                );
-                live.mem_index.set_usize(run.index.approx_bytes());
-                live.mem_canon.set_usize(run.canon_memo.approx_bytes());
+                live.mem_interner.set_usize(run.tables.interner_bytes());
+                live.mem_index.set_usize(run.tables.index.approx_bytes());
+                live.mem_canon.set(run.tables.canon_bytes.get() as i64);
             }
             let stats = LevelStats {
                 level,
@@ -1469,157 +1478,99 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         })
     }
 
-    /// Expands node `node` (whose compact key is `parent_key`) on the
-    /// sequential path: each successor is probed against the live index
-    /// and, when new, appended to the graph and the next level on the spot.
-    /// Returns the node's transition count.
+    /// Expands one node, `config` with compact key `key`, into
+    /// `scratch.edges`: one edge per running process and object outcome,
+    /// in `(pid, outcome)` order. This is the one expansion of the engine:
+    /// the sequential BFS runs it with exclusive access to the run's
+    /// [`Tables`], pool workers with shared access. Every successor this
+    /// call claims in the dedup index goes to `claimed`, with its node
+    /// index, key and configuration.
     ///
-    /// Successor keys are built by **delta-interning**: a successor differs
-    /// from its parent in exactly one object state and one process status,
-    /// so its key is the parent's key with two slots patched, and a
-    /// successor that deduplicates is never materialized. Steps go through
-    /// the [`TransitionMemo`], so a repeated step runs neither the object
-    /// specification nor the protocol.
-    fn expand_seq(
+    /// Steps go through the transition memo, so a repeated step runs
+    /// neither the object specification nor the protocol. Successor keys
+    /// are built by **delta-interning**: a successor differs from its
+    /// parent in exactly one object state and one process status, so its
+    /// key is the parent's key with two slots patched, and a successor
+    /// that deduplicates is never materialized.
+    fn expand<A: Access<P::LocalState>>(
         &self,
-        run: &mut Run<P::LocalState>,
-        node: usize,
-        parent_key: &[u32],
+        tables: &mut A,
         ctx: &RunCtx<'_, '_, P::LocalState>,
-    ) -> Result<usize, RuntimeError> {
-        let Run {
-            state_interner,
-            proc_interner,
-            index,
-            memo,
-            canon_memo,
-            configs,
-            edges,
-            frontier,
-            memo_hits,
-            memo_misses,
-            scratch,
-            out,
-            ..
-        } = run;
-        let n_procs = configs[node].procs.len();
-        let n_obj = parent_key.len() - n_procs;
-        out.clear();
-        for i in 0..n_procs {
-            let (obj, pairs) = {
-                let ProcStatus::Running(local) = &configs[node].procs[i] else {
-                    continue;
-                };
-                let pid = Pid(i);
-                let (obj, op) = self.protocol.pending_op(pid, local);
-                // `(pid, running local state)` determines `(obj, op)`, so
-                // the triple pins down the whole step.
-                let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
-                let pairs = match memo.shard_mut(memo_key).entry(memo_key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        *memo_hits += 1;
-                        &**e.into_mut()
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        *memo_misses += 1;
-                        &**v.insert(Arc::new(self.compute_pairs(
-                            &configs[node],
-                            pid,
-                            local,
-                            obj,
-                            &op,
-                            &mut *state_interner,
-                            &mut *proc_interner,
-                        )?))
-                    }
-                };
-                (obj, pairs)
+        config: &Configuration<P::LocalState>,
+        key: &[u32],
+        scratch: &mut Scratch,
+        mut claimed: impl FnMut(u32, &[u32], Configuration<P::LocalState>),
+    ) -> Result<(), RuntimeError> {
+        let n_obj = config.object_states.len();
+        scratch.edges.clear();
+        for (i, status) in config.procs.iter().enumerate() {
+            let ProcStatus::Running(local) = status else {
+                continue;
             };
-            for (outcome, &(succ_state, succ_proc)) in pairs.as_slice().iter().enumerate() {
-                scratch.copy_from_slice(parent_key);
-                scratch[obj.index()] = succ_state;
-                scratch[n_obj + i] = succ_proc;
-                let target = if let Some(symmetry) = ctx.sym {
-                    // Orbit mode: the dedup key is the compacted canonical
-                    // representative. The raw delta-patched key is not that
-                    // key, but it *identifies* the raw successor, so it
-                    // memoizes the canonicalization: on a hit neither the
-                    // raw successor nor any permuted copy is materialized.
-                    let (key, shared) = match canon_memo.get_mut(scratch) {
-                        Some(entry) => entry,
-                        None => {
-                            let mut raw = configs[node].clone();
-                            raw.object_states[obj.index()] =
-                                state_interner.resolve_mut(succ_state).clone();
-                            raw.procs[i] = proc_interner.resolve_mut(succ_proc).clone();
-                            let canon = timed_canonicalize(symmetry, &raw, ctx.canon_probe);
-                            let key = self.compact(&canon, state_interner, proc_interner);
-                            let arc = Arc::new(canon);
-                            canon_memo.insert_mut(
-                                scratch.as_slice().into(),
-                                (key.clone(), Arc::clone(&arc)),
-                            );
-                            (key, arc)
+            let pid = Pid(i);
+            let (obj, _) = self.protocol.pending_op(pid, local);
+            if obj.index() >= n_obj {
+                return Err(RuntimeError::ObjIdOutOfRange {
+                    obj,
+                    len: self.objects.len(),
+                });
+            }
+            // `(pid, running local state)` determines `(obj, op)`, so the
+            // triple pins down the whole step.
+            let step = (key[obj.index()], key[n_obj + i], i as u32);
+            if !tables.pairs(step, &mut scratch.pairs) {
+                let (.., outs) = self.outcomes_of(config, pid)?;
+                scratch.pairs.clear();
+                for (response, state) in outs {
+                    let status = self.protocol.on_response(pid, local, response).into();
+                    let pair = (tables.intern_state(&state), tables.intern_proc(&status));
+                    scratch.pairs.push(pair);
+                }
+                tables.remember_pairs(step, scratch.pairs.as_slice().into());
+            }
+            for (outcome, &(state, proc)) in scratch.pairs.iter().enumerate() {
+                scratch.key.clear();
+                scratch.key.extend_from_slice(key);
+                scratch.key[obj.index()] = state;
+                scratch.key[n_obj + i] = proc;
+                let target = match ctx.sym {
+                    None => {
+                        let (target, new) = tables.claim(&scratch.key);
+                        if new {
+                            let (state, proc) = tables.resolve(state, proc);
+                            let next = patched(config, obj.index(), state, i, proc);
+                            claimed(target, &scratch.key, next);
                         }
-                    };
-                    match index.probe_mut(&key) {
-                        Some(t) => t,
-                        None => {
-                            let t = index.insert_mut(&key);
-                            frontier.extend_from_slice(&key);
-                            configs.push((*shared).clone());
-                            t
-                        }
+                        target
                     }
-                } else if let Some(t) = index.probe_mut(scratch) {
-                    t
-                } else {
-                    let t = index.insert_mut(scratch);
-                    // Build the successor from parts rather than
-                    // clone-then-overwrite: the two patched slots come from
-                    // the interner, the rest from the parent.
-                    let parent = &configs[node];
-                    let next = Configuration {
-                        object_states: parent
-                            .object_states
-                            .iter()
-                            .enumerate()
-                            .map(|(j, s)| {
-                                if j == obj.index() {
-                                    state_interner.resolve_mut(succ_state).clone()
-                                } else {
-                                    s.clone()
-                                }
-                            })
-                            .collect(),
-                        procs: parent
-                            .procs
-                            .iter()
-                            .enumerate()
-                            .map(|(j, p)| {
-                                if j == i {
-                                    proc_interner.resolve_mut(succ_proc).clone()
-                                } else {
-                                    p.clone()
-                                }
-                            })
-                            .collect(),
-                    };
-                    frontier.extend_from_slice(scratch);
-                    configs.push(next);
-                    t
+                    // Orbit mode: the dedup key is the compacted canonical
+                    // representative. The raw patched key is not that key,
+                    // but it *identifies* the raw successor, so it
+                    // memoizes the canonicalization.
+                    Some(sym) => {
+                        let (key, canon) = tables.canon(&scratch.key).unwrap_or_else(|| {
+                            let (state, proc) = tables.resolve(state, proc);
+                            let raw = patched(config, obj.index(), state, i, proc);
+                            let canon = timed_canonicalize(sym, &raw, ctx.canon_probe);
+                            let entry = (compact(&canon, tables), Arc::new(canon));
+                            tables.remember_canon(&scratch.key, entry.clone());
+                            entry
+                        });
+                        let (target, new) = tables.claim(&key);
+                        if new {
+                            claimed(target, &key, (*canon).clone());
+                        }
+                        target
+                    }
                 };
-                out.push(Edge {
-                    pid: Pid(i),
+                scratch.edges.push(Edge {
+                    pid,
                     outcome,
                     target: target as usize,
                 });
             }
         }
-        debug_assert_eq!(edges.len(), node, "BFS expands nodes in index order");
-        // Exact-size allocation; the scratch keeps its capacity.
-        edges.push(out.clone());
-        Ok(out.len())
+        Ok(())
     }
 
     /// The work-stealing hand-off: expands everything from `run`'s frontier
@@ -1660,8 +1611,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     ) -> Option<(Run<P::LocalState>, WsReport)> {
         let ws_started = Instant::now();
         let workers = ctx.gate.workers;
-        let (tracer, live, sym, canon_probe, hists) =
-            (ctx.tracer, ctx.live, ctx.sym, ctx.canon_probe, ctx.hists);
+        let (tracer, live, hists) = (ctx.tracer, ctx.live, ctx.hists);
         let traced = tracer.enabled();
         // Nodes below `base` already have their canonical index; the
         // frontier is `first..base`, and the pool numbers from `base` on.
@@ -1677,24 +1627,17 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         });
         if let Some(live) = live {
             live.workers.set_usize(workers);
+            live.mem_deques.set(0);
         }
         let budget = ctx.limits.max_configs - first;
-        let n_procs = run.configs[0].procs.len();
-        let n_obj = run.configs[0].object_states.len();
 
-        let mut owners: Vec<lfdeque::Owner<WsTask<P::LocalState>>> = Vec::with_capacity(workers);
-        let mut stealers: Vec<lfdeque::Stealer<WsTask<P::LocalState>>> =
-            Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (owner, stealer) = lfdeque::deque();
-            owners.push(owner);
-            stealers.push(stealer);
-        }
+        let (owners, stealers): (Vec<lfdeque::Owner<WsTask<P::LocalState>>>, Vec<_>) =
+            (0..workers).map(|_| lfdeque::deque()).unzip();
         // Seed the deques round-robin with the frontier, so every worker
         // starts on its own share instead of stealing its first task.
         let frontier = std::mem::take(&mut run.frontier);
         let seeded = base - first;
-        let key_len = n_obj + n_procs;
+        let key_len = frontier.len() / seeded;
         for (k, config) in run.configs.split_off(first).into_iter().enumerate() {
             owners[k % workers].push(WsTask {
                 id: u32::try_from(first + k).expect("graphs are bounded well below u32::MAX nodes"),
@@ -1711,45 +1654,39 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let truncated = AtomicBool::new(false);
         let abort = AtomicBool::new(false);
         let first_error: Mutex<Option<RuntimeError>> = Mutex::new(None);
-        let Run {
-            state_interner,
-            proc_interner,
-            index,
-            memo,
-            canon_memo,
-            ..
-        } = &run;
+        let tables = &run.tables;
 
         // The whole worker loop: the calling thread runs it as worker 0,
         // each recruited helper as one of the others. Captures the run
         // state by reference.
         let run_worker = |me: usize, own: lfdeque::Owner<WsTask<P::LocalState>>| {
-            let mut out = WsWorkerOut::default();
-            let mut scratch = vec![0u32; n_obj + n_procs];
+            let mut stats = WorkerStats {
+                worker: me,
+                ..WorkerStats::default()
+            };
+            let mut out = WsWorkerOut {
+                edge_pool: Vec::new(),
+                nodes: Vec::new(),
+                memo_l1_hits: 0,
+            };
+            let mut shared = Shared {
+                tables,
+                l1: FxHashMap::default(),
+                l1_hits: 0,
+            };
+            let mut scratch = Scratch::default();
             // The children of the task being expanded, reused for
             // the whole run.
             let mut spawned: Vec<WsTask<P::LocalState>> = Vec::new();
-            // Private L1 in front of the shared transition memo:
-            // repeat (state, proc) pairs — the common case on
-            // dense graphs — resolve with a plain map lookup
-            // instead of a shard lock. The shared memo stays the
-            // source of truth, so workers still reuse each
-            // other's first computations; the L1 costs one
-            // `Arc<Pairs>` clone per distinct pair per worker.
-            let mut memo_l1: lbsa_support::hash::FxHashMap<(u32, u32, u32), Arc<Pairs>> =
-                lbsa_support::hash::FxHashMap::default();
             // Consecutive failed sweeps drive the
             // spin→yield→park backoff; any found task resets it.
             let mut backoff: u32 = 0;
-            // Cumulative transitions already mirrored into the live
-            // registry; each task adds only its delta.
-            let mut live_tx_reported = 0usize;
             // Per-worker xorshift32 stream (odd seed from a
             // golden-ratio multiply) rotating each sweep's
             // starting victim so simultaneous thieves fan out
             // across victims instead of convoying on one.
             let mut rng: u32 = (me as u32).wrapping_mul(0x9E37_79B9) | 1;
-            'work: loop {
+            loop {
                 if abort.load(Ordering::Acquire) {
                     break;
                 }
@@ -1757,7 +1694,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 // cache-warm parents), then sweep the victims.
                 let task = match own.pop() {
                     Some(task) => {
-                        out.local_hits += 1;
+                        stats.local_hits += 1;
                         backoff = 0;
                         task
                     }
@@ -1767,7 +1704,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         // only runs while this worker is not
                         // expanding, so it is measured even on
                         // untraced runs. Parked waits are timed
-                        // separately in `parked_ns` so reported
+                        // separately in `parked` so reported
                         // idle stays proportional to burned CPU.
                         let sweep_t0 = Instant::now();
                         let mut stolen = None;
@@ -1793,7 +1730,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         }
                         match stolen {
                             Some((task, victim_hit, extra)) => {
-                                out.steals += 1;
+                                stats.steals += 1;
                                 if let Some(live) = live {
                                     live.steals.bump();
                                 }
@@ -1801,9 +1738,9 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 // The batched extras landed in
                                 // our own deque; the task in
                                 // hand counts toward depth too.
-                                out.max_deque_depth = out.max_deque_depth.max(own.len() + 1);
+                                stats.max_deque_depth = stats.max_deque_depth.max(own.len() + 1);
                                 let sweep = sweep_t0.elapsed();
-                                out.idle_ns = out.idle_ns.saturating_add(duration_ns(sweep));
+                                stats.idle += sweep;
                                 if traced {
                                     hists.steal.record(sweep);
                                     hists.steal_batch.record_ns(extra as u64 + 1);
@@ -1819,22 +1756,21 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 task
                             }
                             None => {
-                                out.steal_fails += 1;
-                                out.idle_ns =
-                                    out.idle_ns.saturating_add(duration_ns(sweep_t0.elapsed()));
+                                stats.steal_fails += 1;
+                                stats.idle += sweep_t0.elapsed();
                                 // Per-attempt miss events would
                                 // be unbounded in a spin storm;
                                 // power-of-two sampling keeps the
                                 // trace logarithmic while the
                                 // `spins`/`parks` fields preserve
                                 // the storm's true intensity.
-                                if traced && out.steal_fails.is_power_of_two() {
+                                if traced && stats.steal_fails.is_power_of_two() {
                                     tracer.emit_with("ws.steal", || {
                                         Json::object()
                                             .set("worker", me)
                                             .set("outcome", "miss")
-                                            .set("spins", out.idle_spins)
-                                            .set("parks", out.park_count)
+                                            .set("spins", stats.idle_spins)
+                                            .set("parks", stats.park_count)
                                             .set("pending", pending.load(Ordering::Relaxed))
                                     });
                                 }
@@ -1852,15 +1788,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 // detects quiescence promptly.
                                 backoff = backoff.saturating_add(1);
                                 if backoff <= WS_SPIN_ROUNDS {
-                                    out.idle_spins += 1;
+                                    stats.idle_spins += 1;
                                     for _ in 0..(1u32 << backoff) {
                                         std::hint::spin_loop();
                                     }
                                 } else if backoff <= WS_SPIN_ROUNDS + WS_YIELD_ROUNDS {
-                                    out.idle_spins += 1;
+                                    stats.idle_spins += 1;
                                     std::thread::yield_now();
                                 } else {
-                                    out.park_count += 1;
+                                    stats.park_count += 1;
                                     if let Some(live) = live {
                                         live.parked_workers.add(1);
                                     }
@@ -1869,9 +1805,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     if let Some(live) = live {
                                         live.parked_workers.sub(1);
                                     }
-                                    out.parked_ns = out
-                                        .parked_ns
-                                        .saturating_add(duration_ns(park_t0.elapsed()));
+                                    stats.parked += park_t0.elapsed();
                                 }
                                 continue;
                             }
@@ -1889,118 +1823,41 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 // Per-task expansion timing is a clock read per
                 // task: traced runs only.
                 let task_t0 = traced.then(Instant::now);
-                let config = &task.config;
-                let parent_key = &task.key;
-                let edge_start = out.edge_pool.len();
-                // Each successor is resolved against the shared index
-                // on the spot; the worker that wins a key's insert
-                // materializes the configuration and schedules it.
-                for (i, status) in config.procs.iter().enumerate() {
-                    let ProcStatus::Running(local) = status else {
-                        continue;
-                    };
-                    let pid = Pid(i);
-                    let (obj, op) = self.protocol.pending_op(pid, local);
-                    let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
-                    // Entry API: a hit borrows the cached
-                    // `Arc<Pairs>` in place — one hash, no
-                    // refcount traffic — mirroring the sequential
-                    // BFS's zero-clone memo.
-                    let pairs = match memo_l1.entry(memo_key) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            out.memo_l1_hits += 1;
-                            e.into_mut()
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            match self.step_pairs(
-                                config,
-                                pid,
-                                local,
-                                obj,
-                                &op,
-                                memo_key,
-                                state_interner,
-                                proc_interner,
-                                memo,
-                            ) {
-                                Ok(pairs) => slot.insert(pairs),
-                                Err(err) => {
-                                    let mut slot = first_error.lock().expect("error slot poisoned");
-                                    slot.get_or_insert(err);
-                                    abort.store(true, Ordering::Release);
-                                    break 'work;
-                                }
-                            }
-                        }
-                    };
-                    for (outcome, &(succ_state, succ_proc)) in pairs.as_slice().iter().enumerate() {
-                        scratch.copy_from_slice(parent_key);
-                        scratch[obj.index()] = succ_state;
-                        scratch[n_obj + i] = succ_proc;
-                        out.transitions += 1;
-                        if let Some(symmetry) = sym {
-                            let (key, arc) = match canon_memo.get(&scratch) {
-                                Some(entry) => entry,
-                                None => {
-                                    let mut raw = config.clone();
-                                    raw.object_states[obj.index()] =
-                                        state_interner.resolve_with(succ_state, Clone::clone);
-                                    raw.procs[i] =
-                                        proc_interner.resolve_with(succ_proc, Clone::clone);
-                                    let canon = timed_canonicalize(symmetry, &raw, canon_probe);
-                                    let key = self.compact(&canon, state_interner, proc_interner);
-                                    let arc = Arc::new(canon);
-                                    canon_memo.insert(
-                                        scratch.as_slice().into(),
-                                        (key.clone(), Arc::clone(&arc)),
-                                    );
-                                    (key, arc)
-                                }
-                            };
-                            let (t, inserted) = index.get_or_insert(&key);
-                            out.edge_pool.push(Edge {
-                                pid,
-                                outcome,
-                                target: t as usize,
-                            });
-                            if inserted {
-                                spawned.push(WsTask {
-                                    id: t,
-                                    key,
-                                    config: (*arc).clone(),
-                                });
-                            }
-                        } else {
-                            let (t, inserted) = index.get_or_insert(&scratch);
-                            out.edge_pool.push(Edge {
-                                pid,
-                                outcome,
-                                target: t as usize,
-                            });
-                            if inserted {
-                                let mut next = config.clone();
-                                next.object_states[obj.index()] =
-                                    state_interner.resolve_with(succ_state, Clone::clone);
-                                next.procs[i] = proc_interner.resolve_with(succ_proc, Clone::clone);
-                                spawned.push(WsTask {
-                                    id: t,
-                                    key: scratch.as_slice().into(),
-                                    config: next,
-                                });
-                            }
-                        }
-                    }
+                // The worker that claims a successor schedules it.
+                let expanded = self.expand(
+                    &mut shared,
+                    ctx,
+                    &task.config,
+                    &task.key,
+                    &mut scratch,
+                    |id, key, config| {
+                        spawned.push(WsTask {
+                            id,
+                            key: key.into(),
+                            config,
+                        });
+                    },
+                );
+                if let Err(err) = expanded {
+                    let mut slot = first_error.lock().expect("error slot poisoned");
+                    slot.get_or_insert(err);
+                    abort.store(true, Ordering::Release);
+                    break;
                 }
-                let edge_len = out.edge_pool.len() - edge_start;
+                let edge_start = out.edge_pool.len();
+                let edge_len = scratch.edges.len();
+                out.edge_pool.extend_from_slice(&scratch.edges);
+                stats.expanded += 1;
+                stats.transitions += edge_len;
                 let spawned_now = spawned.len();
-                out.tasks.push((
+                // Expansion done: the task surrenders its configuration
+                // to the assembly set here.
+                out.nodes.push((
                     task.id,
                     u32::try_from(edge_start).expect("edge pool overflow"),
                     u32::try_from(edge_len).expect("edge fan-out overflow"),
+                    task.config,
                 ));
-                // Expansion done: the task surrenders its configuration
-                // to the assembly set here.
-                out.configs.push((task.id, task.config));
                 // Retire this task and enqueue its children in
                 // one `pending` update: the first child inherits
                 // this task's slot.
@@ -2016,74 +1873,56 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 for child in spawned.drain(..) {
                     own.push(child);
                 }
-                out.max_deque_depth = out.max_deque_depth.max(own.len());
+                stats.max_deque_depth = stats.max_deque_depth.max(own.len());
                 // Live mirror: a few relaxed bumps per task (never per
                 // successor), and O(1)-readable mem gauges refreshed at a
                 // coarse beat so the watcher never perturbs the hot path.
                 if let Some(live) = live {
                     live.configs.bump();
-                    live.transitions
-                        .add((out.transitions - live_tx_reported) as u64);
-                    live_tx_reported = out.transitions;
+                    live.transitions.add(edge_len as u64);
                     live.dedup_hits.add(edge_len as u64 - spawned_now as u64);
                     live.frontier_depth
                         .set_usize(pending.load(Ordering::Relaxed));
-                    if out.tasks.len().is_multiple_of(64) {
-                        live.mem_interner.set_usize(
-                            state_interner.approx_bytes() + proc_interner.approx_bytes(),
-                        );
-                        live.mem_index.set_usize(index.approx_bytes());
-                        live.mem_canon.set_usize(canon_memo.approx_bytes());
+                    if stats.expanded.is_multiple_of(64) {
+                        live.mem_interner.set_usize(tables.interner_bytes());
+                        live.mem_index.set_usize(tables.index.approx_bytes());
+                        live.mem_canon.set(tables.canon_bytes.get() as i64);
                     }
                 }
                 if let Some(t0) = task_t0 {
                     let d = t0.elapsed();
-                    out.busy_ns = out.busy_ns.saturating_add(duration_ns(d));
+                    stats.busy += d;
                     hists.task_expand.record(d);
                     // A progress beat on the first task and every
                     // 32nd after: the beat timestamps are what
                     // obs_analyze turns into the per-worker
                     // utilization timeline.
-                    let done = out.tasks.len();
+                    let done = stats.expanded;
                     if done == 1 || done.is_multiple_of(32) {
                         let depth = own.len();
                         tracer.emit_with("ws.expand", || {
                             Json::object()
                                 .set("worker", me)
                                 .set("expanded", done)
-                                .set("transitions", out.transitions)
+                                .set("transitions", stats.transitions)
                                 .set("deque", depth)
-                                .set("steals", out.steals)
-                                .set("parks", out.park_count)
-                                .set("busy_us", out.busy_ns / 1_000)
-                                .set("idle_us", out.idle_ns / 1_000)
+                                .set("steals", stats.steals)
+                                .set("parks", stats.park_count)
+                                .set("busy_us", duration_us(stats.busy))
+                                .set("idle_us", duration_us(stats.idle))
                         });
                     }
                 }
             }
-            out.deque_grows = own.grows();
-            out.deque_bytes = own.approx_bytes();
-            if traced {
-                tracer.emit_with("ws.done", || {
-                    Json::object()
-                        .set("worker", me)
-                        .set("expanded", out.tasks.len())
-                        .set("transitions", out.transitions)
-                        .set("steals", out.steals)
-                        .set("steal_fails", out.steal_fails)
-                        .set("local_hits", out.local_hits)
-                        .set("max_deque_depth", out.max_deque_depth)
-                        .set("idle_spins", out.idle_spins)
-                        .set("park_count", out.park_count)
-                        .set("parked_us", out.parked_ns / 1_000)
-                        .set("deque_grows", out.deque_grows)
-                        .set("idle_us", out.idle_ns / 1_000)
-                        .set("busy_us", out.busy_ns / 1_000)
-                });
+            stats.deque_grows = own.grows();
+            if let Some(live) = live {
+                live.mem_deques.add(own.approx_bytes() as i64);
             }
-            out
+            out.memo_l1_hits = shared.l1_hits;
+            tracer.emit_with("ws.done", || stats.to_json());
+            (stats, out)
         };
-        let outs: Vec<WsWorkerOut<P::LocalState>> = std::thread::scope(|s| {
+        let outs: Vec<(WorkerStats, WsWorkerOut<P::LocalState>)> = std::thread::scope(|s| {
             let run_worker = &run_worker;
             let mut owners = owners.into_iter();
             let own0 = owners.next().expect("a pool has at least one worker");
@@ -2112,7 +1951,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         // The stealers are the last handles on tasks an aborted pool left
         // queued; nothing is queued now, but release them before assembly.
         drop(stealers);
-        let total = index.len();
+        let total = tables.index.len();
 
         // Assembly and canonical renumbering. `span[old - first]` locates a
         // node's edges in its worker's pool; `renum[old - base]` is a pool
@@ -2121,57 +1960,20 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         // pool's nodes exactly as the sequential BFS would have.
         let mut report = WsReport {
             recruit,
-            ..WsReport::default()
+            workers: Vec::with_capacity(workers),
+            memo_l1_hits: 0,
+            merge: Duration::ZERO,
         };
-        let mut deque_bytes = 0usize;
         let mut span: Vec<(u32, u32, u32)> = vec![(0, 0, 0); total - first];
         let mut slots: Vec<Option<Configuration<P::LocalState>>> =
             (first..total).map(|_| None).collect();
         let mut pools: Vec<Vec<Edge>> = Vec::with_capacity(outs.len());
-        for (w, out) in outs.into_iter().enumerate() {
-            tracer.emit_with("ws.worker", || {
-                Json::object()
-                    .set("worker", w)
-                    .set("expanded", out.tasks.len())
-                    .set("transitions", out.transitions)
-                    .set("steals", out.steals)
-                    .set("steal_fails", out.steal_fails)
-                    .set("local_hits", out.local_hits)
-                    .set("max_deque_depth", out.max_deque_depth)
-                    .set("idle_spins", out.idle_spins)
-                    .set("park_count", out.park_count)
-                    .set("parked_us", out.parked_ns / 1_000)
-                    .set("deque_grows", out.deque_grows)
-                    .set("idle_us", out.idle_ns / 1_000)
-                    .set("busy_us", out.busy_ns / 1_000)
-            });
-            report.steals += out.steals;
-            report.steal_fails += out.steal_fails;
-            report.local_hits += out.local_hits;
-            report.park_count += out.park_count;
-            report.deque_grows += out.deque_grows;
+        for (w, (stats, out)) in outs.into_iter().enumerate() {
+            report.workers.push(stats);
             report.memo_l1_hits += out.memo_l1_hits;
-            deque_bytes += out.deque_bytes;
-            report.workers.push(WorkerStats {
-                worker: w,
-                expanded: out.tasks.len(),
-                transitions: out.transitions,
-                steals: out.steals,
-                steal_fails: out.steal_fails,
-                local_hits: out.local_hits,
-                max_deque_depth: out.max_deque_depth,
-                idle_spins: out.idle_spins,
-                park_count: out.park_count,
-                deque_grows: out.deque_grows,
-                idle: Duration::from_nanos(out.idle_ns),
-                parked: Duration::from_nanos(out.parked_ns),
-                busy: Duration::from_nanos(out.busy_ns),
-            });
             let w = u32::try_from(w).expect("worker count fits u32");
-            for (id, start, len) in out.tasks {
+            for (id, start, len, config) in out.nodes {
                 span[id as usize - first] = (w, start, len);
-            }
-            for (id, config) in out.configs {
                 slots[id as usize - first] = Some(config);
             }
             pools.push(out.edge_pool);
@@ -2239,98 +2041,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         }
         report.merge = merge_started.elapsed();
         run.expand += expand;
-        if let Some(live) = live {
-            live.mem_deques.set_usize(deque_bytes);
-        }
         Some((run, report))
-    }
-
-    /// Interns every component of `config` into a compact id vector:
-    /// object-state ids followed by process-status ids.
-    fn compact(
-        &self,
-        config: &Configuration<P::LocalState>,
-        state_interner: &Interner<AnyState>,
-        proc_interner: &Interner<ProcStatus<P::LocalState>>,
-    ) -> CompactConfig {
-        config
-            .object_states
-            .iter()
-            .map(|s| state_interner.intern(s))
-            .chain(config.procs.iter().map(|p| proc_interner.intern(p)))
-            .collect()
-    }
-
-    /// The interned outcome pairs of one step, through the memo: on a hit,
-    /// neither the object specification nor the protocol runs.
-    #[allow(clippy::too_many_arguments)]
-    fn step_pairs(
-        &self,
-        config: &Configuration<P::LocalState>,
-        pid: Pid,
-        local: &P::LocalState,
-        obj: ObjId,
-        op: &Op,
-        memo_key: (u32, u32, u32),
-        state_interner: &Interner<AnyState>,
-        proc_interner: &Interner<ProcStatus<P::LocalState>>,
-        memo: &TransitionMemo,
-    ) -> Result<Arc<Pairs>, RuntimeError> {
-        if let Some(hit) = memo.get(memo_key) {
-            return Ok(hit);
-        }
-        let computed =
-            self.compute_pairs(config, pid, local, obj, op, state_interner, proc_interner)?;
-        Ok(memo.insert(memo_key, computed))
-    }
-
-    /// The raw (un-memoized) step: run the specification and the protocol,
-    /// intern the results. Generic over the intern handle so the sequential
-    /// BFS gets the lock-free `&mut` interners while work-stealing workers
-    /// share the locking `&` ones.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_pairs<SI, PI>(
-        &self,
-        config: &Configuration<P::LocalState>,
-        pid: Pid,
-        local: &P::LocalState,
-        obj: ObjId,
-        op: &Op,
-        mut state_interner: SI,
-        mut proc_interner: PI,
-    ) -> Result<Pairs, RuntimeError>
-    where
-        SI: InternSink<AnyState>,
-        PI: InternSink<ProcStatus<P::LocalState>>,
-    {
-        let spec = self
-            .objects
-            .get(obj.index())
-            .ok_or(RuntimeError::ObjIdOutOfRange {
-                obj,
-                len: self.objects.len(),
-            })?;
-        let mut outs = spec
-            .outcomes(&config.object_states[obj.index()], op)?
-            .into_vec();
-        let mut pair = |response, obj_state: &AnyState| {
-            let status = match self.protocol.on_response(pid, local, response) {
-                Step::Continue(s) => ProcStatus::Running(s),
-                Step::Decide(v) => ProcStatus::Decided(v),
-                Step::Abort => ProcStatus::Aborted,
-                Step::Halt => ProcStatus::Halted,
-            };
-            (state_interner.put(obj_state), proc_interner.put(&status))
-        };
-        if outs.len() == 1 {
-            let (response, obj_state) = outs.pop().expect("length checked");
-            return Ok(Pairs::One(pair(response, &obj_state)));
-        }
-        Ok(Pairs::Many(
-            outs.into_iter()
-                .map(|(response, obj_state)| pair(response, &obj_state))
-                .collect(),
-        ))
     }
 }
 
@@ -2653,6 +2364,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
 mod tests {
     use super::*;
     use lbsa_core::{ObjId, Op, Value};
+    use lbsa_runtime::process::Step;
 
     /// Two processes propose their pid to a consensus object and decide.
     #[derive(Debug)]
@@ -2997,6 +2709,42 @@ mod tests {
         assert_eq!(c2s.len(), 2);
         let decisions: Vec<_> = c2s.iter().map(|c| c.procs[1].decision().unwrap()).collect();
         assert_eq!(decisions, vec![Value::Int(0), Value::Int(1)]);
+    }
+
+    #[test]
+    fn an_object_beyond_the_table_is_a_step_error() {
+        // Process 1 names object 7 of a one-object table, an index past
+        // the compact key as well: the run fails, at any thread count.
+        #[derive(Debug)]
+        struct Stray;
+        impl Protocol for Stray {
+            type LocalState = ();
+            fn num_processes(&self) -> usize {
+                2
+            }
+            fn init(&self, _pid: Pid) {}
+            fn pending_op(&self, pid: Pid, _s: &()) -> (ObjId, Op) {
+                (ObjId(7 * pid.index()), Op::Read)
+            }
+            fn on_response(&self, _pid: Pid, _s: &(), _resp: Value) -> Step<()> {
+                Step::Halt
+            }
+        }
+        let objects = vec![AnyObject::register()];
+        let explorer = Explorer::new(&Stray, &objects);
+        for threads in [1, 2] {
+            let err = explorer
+                .exploration()
+                .threads(threads)
+                .force_parallel()
+                .run()
+                .expect_err("object 7 does not exist");
+            let expected = RuntimeError::ObjIdOutOfRange {
+                obj: ObjId(7),
+                len: 1,
+            };
+            assert_eq!(err, expected, "{threads} threads");
+        }
     }
 
     #[test]
@@ -3447,7 +3195,7 @@ mod tests {
                 // Every task is processed off a deque, either locally or
                 // stolen.
                 assert_eq!(
-                    ws.stats.local_hits + ws.stats.steals,
+                    ws.stats.local_hits() + ws.stats.steals(),
                     ws.stats.configs as u64
                 );
             }
@@ -3565,10 +3313,12 @@ mod tests {
     fn work_stealing_worker_stats_reconcile_with_aggregates() {
         let p = RaceConsensus { n: 4 };
         let objects = vec![AnyObject::consensus(4).unwrap()];
+        let registry = Registry::new();
         let ws = Explorer::new(&p, &objects)
             .exploration()
             .threads(4)
             .force_parallel()
+            .registry(registry.clone())
             .run()
             .unwrap();
         let stats = &ws.stats;
@@ -3589,9 +3339,14 @@ mod tests {
             stats.workers.iter().map(|w| w.transitions).sum::<usize>(),
             stats.transitions
         );
-        assert_eq!(sum(|w| w.steals), stats.steals);
-        assert_eq!(sum(|w| w.steal_fails), stats.steal_fails);
-        assert_eq!(sum(|w| w.local_hits), stats.local_hits);
+        assert_eq!(sum(|w| w.steals), stats.steals());
+        assert_eq!(sum(|w| w.steal_fails), stats.steal_fails());
+        assert_eq!(sum(|w| w.local_hits), stats.local_hits());
+        assert_eq!(
+            registry.counter("ws.steals").get(),
+            stats.steals(),
+            "the live steal counter agrees with the workers' records"
+        );
         assert!(stats.worker_imbalance() >= 1.0);
         // Untraced runs record no per-task or steal latency distributions.
         assert!(stats.hist.task_expand.is_empty());
@@ -3649,7 +3404,7 @@ mod tests {
         assert_eq!(stats.hist.task_expand.count(), stats.expanded as u64);
         assert_eq!(
             stats.hist.steal.count(),
-            stats.steals,
+            stats.steals(),
             "every successful steal records its latency"
         );
         assert!(

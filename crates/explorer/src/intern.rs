@@ -111,7 +111,7 @@ const SHARD_BITS: u32 = SHARDS.trailing_zeros();
 pub type CompactConfig = Arc<[u32]>;
 
 /// A concurrent hash-consing table: `intern` maps equal values to equal
-/// `u32` ids, `resolve` maps ids back to shared values.
+/// `u32` ids, `resolve_with` and `resolve_mut` map ids back to values.
 ///
 /// The table is split into [`SHARDS`] independently locked stores, with the
 /// shard chosen by the value's hash and folded into the id's low bits
@@ -235,8 +235,8 @@ impl<T: Eq + Hash + Clone> Interner<T> {
         id
     }
 
-    /// [`Interner::resolve`] for exclusive access: returns a plain reference
-    /// without touching a lock or the reference count.
+    /// Resolves an id back to its value, for exclusive access: returns a
+    /// plain reference without touching a lock or the reference count.
     ///
     /// # Panics
     ///
@@ -251,32 +251,11 @@ impl<T: Eq + Hash + Clone> Interner<T> {
             .expect("unknown interned id")
     }
 
-    /// Resolves an id back to its value.
-    ///
-    /// For read-mostly hot paths prefer [`Interner::resolve_with`], which
-    /// borrows the value under the shard's read lock instead of bumping and
-    /// dropping the `Arc` reference count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this interner.
-    #[must_use]
-    pub fn resolve(&self, id: u32) -> Arc<T> {
-        Arc::clone(
-            self.shards[(id as usize) & (SHARDS - 1)]
-                .read()
-                .expect("interner lock poisoned")
-                .items
-                .get((id >> SHARD_BITS) as usize)
-                .expect("unknown interned id"),
-        )
-    }
-
     /// Applies `f` to the value behind `id` without cloning the `Arc`: the
     /// borrow lives under the shard's read lock only as long as `f` runs.
     /// This is the shared-access analogue of [`Interner::resolve_mut`] —
-    /// it skips the atomic reference-count round-trip that makes
-    /// [`Interner::resolve`] show up in expansion profiles.
+    /// it skips the atomic reference-count round-trip an `Arc` clone
+    /// would cost on the expansion hot path.
     ///
     /// # Panics
     ///
@@ -344,10 +323,10 @@ impl<T: Eq + Hash + Clone> Default for Interner<T> {
 /// The deduplication index: `CompactConfig` → graph node index, sharded by
 /// configuration hash and safe for concurrent insertion.
 ///
-/// One index serves the whole run. The sequential BFS owns it and goes
-/// through the exclusive-access methods ([`ConcurrentIndex::probe_mut`],
-/// [`ConcurrentIndex::insert_mut`]), which skip the locks; when the run
-/// recruits work-stealing helpers, the same index is shared by reference.
+/// One index serves the whole run. The sequential BFS owns it and claims
+/// through [`ConcurrentIndex::get_or_insert_mut`], which skips the locks;
+/// when the run recruits work-stealing helpers, the same index is shared
+/// by reference.
 /// Each shard is an independently locked map, and node indices come from
 /// one shared atomic counter bumped under the winning shard's write lock —
 /// so ids are dense (`0..len`), unique, and each key is inserted by exactly
@@ -421,38 +400,26 @@ impl ConcurrentIndex {
         (id, true)
     }
 
-    /// [`ConcurrentIndex::probe`] for exclusive access: `&mut self` proves
-    /// no other thread holds a lock, so the shard is read without one.
-    /// This is the dedup probe of the sequential BFS.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lock was poisoned by a panicking worker.
-    #[must_use]
-    pub fn probe_mut(&mut self, key: &[u32]) -> Option<u32> {
-        self.shards[Self::shard_of(key)]
-            .get_mut()
-            .expect("index lock poisoned")
-            .get(key)
-            .copied()
-    }
-
-    /// Assigns the next node index to `key`, which the caller has just
-    /// probed absent, without taking a lock (exclusive access).
+    /// [`ConcurrentIndex::get_or_insert`] for exclusive access: `&mut self`
+    /// proves no other thread holds a lock, so the shard is reached
+    /// without one. This is the dedup claim of the sequential BFS.
     ///
     /// # Panics
     ///
     /// Panics on index overflow or if a lock was poisoned.
-    pub fn insert_mut(&mut self, key: &[u32]) -> u32 {
+    pub fn get_or_insert_mut(&mut self, key: &[u32]) -> (u32, bool) {
+        let shard = self.shards[Self::shard_of(key)]
+            .get_mut()
+            .expect("index lock poisoned");
+        if let Some(&id) = shard.get(key) {
+            return (id, false);
+        }
         let id = *self.next.get_mut();
         assert!(id < u32::MAX, "concurrent index overflow");
         *self.next.get_mut() = id + 1;
         *self.bytes.get_mut() += index_entry_bytes(key.len());
-        self.shards[Self::shard_of(key)]
-            .get_mut()
-            .expect("index lock poisoned")
-            .insert(IndexKey::new(key), id);
-        id
+        shard.insert(IndexKey::new(key), id);
+        (id, true)
     }
 
     /// Number of configurations claimed so far.
@@ -495,8 +462,8 @@ mod tests {
         let a2 = interner.intern(&"alpha".to_string());
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(*interner.resolve(a), "alpha");
-        assert_eq!(*interner.resolve(b), "beta");
+        assert_eq!(interner.resolve_with(a, Clone::clone), "alpha");
+        assert_eq!(interner.resolve_with(b, Clone::clone), "beta");
         assert_eq!(interner.len(), 2);
         assert_eq!(interner.hits(), 1);
         assert_eq!(interner.misses(), 2);
@@ -521,7 +488,7 @@ mod tests {
             );
         }
         for (v, &id) in ids[0].iter().enumerate() {
-            assert_eq!(*interner.resolve(id), v as u64);
+            assert_eq!(interner.resolve_with(id, |x| *x), v as u64);
         }
         // Exactly one interning per distinct value wins the insert; every
         // other lookup (including write-race losers) counts as a hit.
@@ -530,15 +497,14 @@ mod tests {
     }
 
     #[test]
-    fn resolve_with_matches_resolve() {
+    fn resolve_with_matches_resolve_mut() {
         let mut interner: Interner<String> = Interner::new();
         let ids: Vec<u32> = (0..64)
             .map(|i| interner.intern(&format!("value-{i}")))
             .collect();
         for (i, &id) in ids.iter().enumerate() {
             let expected = format!("value-{i}");
-            assert_eq!(*interner.resolve(id), expected);
-            assert_eq!(interner.resolve_with(id, |v| v.len()), expected.len());
+            assert_eq!(interner.resolve_with(id, Clone::clone), expected);
             assert_eq!(interner.resolve_mut(id), &expected);
             // The shard lives in the id's low bits and matches the value's
             // shard function, so every accessor agrees on the store.
@@ -614,12 +580,11 @@ mod tests {
         assert!(index.is_empty());
         for i in 0..100u32 {
             let key = [i, i + 1, i + 2];
-            assert_eq!(index.probe_mut(&key), None);
-            assert_eq!(index.insert_mut(&key), i);
+            assert_eq!(index.get_or_insert_mut(&key), (i, true));
         }
         assert_eq!(index.len(), 100);
         for i in 0..100u32 {
-            assert_eq!(index.probe_mut(&[i, i + 1, i + 2]), Some(i));
+            assert_eq!(index.get_or_insert_mut(&[i, i + 1, i + 2]), (i, false));
             assert_eq!(index.probe(&[i, i + 1, i + 2]), Some(i));
         }
         // A shared-path insert after an exclusive run continues the ids.
@@ -647,16 +612,21 @@ mod tests {
 
         let mut index = ConcurrentIndex::new();
         assert_eq!(index.approx_bytes(), 0);
-        index.insert_mut(&[1, 2, 3]);
+        index.get_or_insert_mut(&[1, 2, 3]);
         let one = index.approx_bytes();
         assert!(one >= 3 * 4, "at least the key payload");
-        index.insert_mut(&[4, 5, 6]);
+        index.get_or_insert_mut(&[4, 5, 6]);
         assert_eq!(index.approx_bytes(), 2 * one);
         // A key too long to sit inline also counts its heap payload.
         let long: Vec<u32> = (0..40).collect();
-        index.insert_mut(&long);
+        index.get_or_insert_mut(&long);
         assert_eq!(index.approx_bytes(), 3 * one + 40 * 4);
-        assert_eq!(index.probe_mut(&long), Some(2));
+        assert_eq!(index.get_or_insert_mut(&long), (2, false));
+        assert_eq!(
+            index.approx_bytes(),
+            3 * one + 40 * 4,
+            "hits do not grow it"
+        );
 
         let conc = ConcurrentIndex::new();
         assert_eq!(conc.approx_bytes(), 0);

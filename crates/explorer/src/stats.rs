@@ -317,20 +317,6 @@ pub struct ExploreStats {
     /// Canonicalizations that fell back to the full `|G|`-fold orbit
     /// enumeration. Zero unless symmetry-reduced.
     pub canon_full: u64,
-    /// Successful steal operations across workers (work-stealing only).
-    pub steals: u64,
-    /// Steal sweeps that visited every other worker's deque and found
-    /// nothing (work-stealing only).
-    pub steal_fails: u64,
-    /// Tasks a worker popped from its own deque rather than stole
-    /// (work-stealing only).
-    pub local_hits: u64,
-    /// Times a starved worker parked after exhausting its spin/yield
-    /// backoff budget (work-stealing only).
-    pub park_count: u64,
-    /// Lock-free deque buffer doublings across workers (work-stealing
-    /// only).
-    pub deque_grows: u64,
     /// Estimated heap footprint of the state/status interners at the end
     /// of the run (see `Interner::approx_bytes` — a structural estimate,
     /// not an allocator measurement).
@@ -379,6 +365,40 @@ impl ExploreStats {
         } else {
             0.0
         }
+    }
+
+    /// Successful steal operations across workers (work-stealing only).
+    #[must_use]
+    pub fn steals(&self) -> u64 {
+        self.workers.iter().map(|w| w.steals).sum()
+    }
+
+    /// Steal sweeps that visited every other worker's deque and found
+    /// nothing (work-stealing only).
+    #[must_use]
+    pub fn steal_fails(&self) -> u64 {
+        self.workers.iter().map(|w| w.steal_fails).sum()
+    }
+
+    /// Tasks a worker popped from its own deque rather than stole
+    /// (work-stealing only).
+    #[must_use]
+    pub fn local_hits(&self) -> u64 {
+        self.workers.iter().map(|w| w.local_hits).sum()
+    }
+
+    /// Times a starved worker parked after exhausting its spin/yield
+    /// backoff budget (work-stealing only).
+    #[must_use]
+    pub fn park_count(&self) -> u64 {
+        self.workers.iter().map(|w| w.park_count).sum()
+    }
+
+    /// Lock-free deque buffer doublings across workers (work-stealing
+    /// only).
+    #[must_use]
+    pub fn deque_grows(&self) -> u64 {
+        self.workers.iter().map(|w| w.deque_grows).sum()
     }
 
     /// Number of BFS levels (graph depth plus one, when complete).
@@ -481,11 +501,11 @@ impl ExploreStats {
             .set("canon_calls", self.canon_calls)
             .set("canon_patches", self.canon_patches)
             .set("canon_full", self.canon_full)
-            .set("steals", self.steals)
-            .set("steal_fails", self.steal_fails)
-            .set("local_hits", self.local_hits)
-            .set("park_count", self.park_count)
-            .set("deque_grows", self.deque_grows)
+            .set("steals", self.steals())
+            .set("steal_fails", self.steal_fails())
+            .set("local_hits", self.local_hits())
+            .set("park_count", self.park_count())
+            .set("deque_grows", self.deque_grows())
             .set("interner_bytes", self.interner_bytes)
             .set("index_bytes", self.index_bytes);
         if !self.workers.is_empty() {
@@ -585,11 +605,23 @@ mod tests {
     fn work_stealing_counters_flow_into_json_and_summary() {
         let stats = ExploreStats {
             recruit: Some(Recruit::default()),
-            steals: 12,
-            steal_fails: 3,
-            local_hits: 250,
-            park_count: 7,
-            deque_grows: 2,
+            workers: vec![
+                WorkerStats {
+                    steals: 10,
+                    steal_fails: 1,
+                    local_hits: 200,
+                    park_count: 7,
+                    ..WorkerStats::default()
+                },
+                WorkerStats {
+                    worker: 1,
+                    steals: 2,
+                    steal_fails: 2,
+                    local_hits: 50,
+                    deque_grows: 2,
+                    ..WorkerStats::default()
+                },
+            ],
             canon_patches: 40,
             canon_full: 2,
             ..ExploreStats::default()

@@ -51,6 +51,7 @@ use lbsa_runtime::outcome::{OutcomeResolver, RandomOutcome};
 use lbsa_runtime::process::{ProcStatus, Protocol};
 use lbsa_runtime::scheduler::{RandomScheduler, Scheduler};
 use lbsa_runtime::trace::{Trace, TraceEvent};
+use lbsa_support::hash::FxHashMap;
 use lbsa_support::json::Json;
 use lbsa_support::obs::Tracer;
 use std::fmt;
@@ -130,6 +131,11 @@ pub enum WitnessKind {
     },
 }
 
+/// The memo of [`WitnessKind::predicate`]'s solo probes: a
+/// configuration's longest solo run, as `checker::stepped_solo_run`
+/// records it.
+type SoloMemo<L> = FxHashMap<Configuration<L>, Option<u32>>;
+
 impl WitnessKind {
     /// A short machine-readable tag for reports.
     #[must_use]
@@ -177,10 +183,16 @@ impl WitnessKind {
     /// Evaluates the full violated predicate on `config`, running solo
     /// probes through `explorer` where the kind requires them. `None` for
     /// cycle-based kinds (their evidence is the cycle, not a configuration).
+    ///
+    /// `solo` memoizes the solo probes. An entry is exact for the kind's
+    /// `(pid, must_decide)`, whatever the probe's start and bound, so one
+    /// memo serves every evaluation of one kind, such as the prefixes a
+    /// minimization tries.
     fn predicate<P: Protocol>(
         &self,
         explorer: &Explorer<'_, P>,
         config: &Configuration<P::LocalState>,
+        solo: &mut SoloMemo<P::LocalState>,
     ) -> Result<Option<bool>, RuntimeError> {
         if let Some(hit) = self.state_predicate(config) {
             return Ok(Some(hit));
@@ -194,9 +206,10 @@ impl WitnessKind {
                 if !matches!(config.procs.get(pid.index()), Some(ProcStatus::Running(_))) {
                     return Ok(Some(false));
                 }
-                let memo = &mut Default::default();
                 let steps =
-                    checker::stepped_solo_run(explorer, memo, config, *pid, *must_decide, *bound)?;
+                    checker::stepped_solo_run(explorer, solo, config, *pid, *must_decide, *bound)
+                        // A failed search leaves its path marked in the memo.
+                        .inspect_err(|_| solo.clear())?;
                 Ok(Some(steps as usize > *bound))
             }
             WitnessKind::NonTermination { .. } => Ok(None),
@@ -330,7 +343,7 @@ impl Witness {
                 }
                 Ok(())
             }
-            kind => match kind.predicate(explorer, &config) {
+            kind => match kind.predicate(explorer, &config, &mut SoloMemo::default()) {
                 Ok(Some(true)) => Ok(()),
                 Ok(_) => Err(CheckError::WitnessDiverged {
                     step: self.schedule.len(),
@@ -1117,12 +1130,13 @@ fn finish_witness<P: Protocol>(
     let mut config = explorer.initial_config();
     let mut trace = Trace::new();
     let mut minimized: Vec<ScheduleStep> = Vec::new();
-    let mut hit = matches!(kind.predicate(explorer, &config), Ok(Some(true)));
+    let solo = &mut SoloMemo::default();
+    let mut hit = matches!(kind.predicate(explorer, &config, solo), Ok(Some(true)));
     if !hit {
         for (i, step) in schedule.iter().enumerate() {
             config = replay_one(explorer, config, *step, i, &mut trace).ok()?;
             minimized.push(*step);
-            if matches!(kind.predicate(explorer, &config), Ok(Some(true))) {
+            if matches!(kind.predicate(explorer, &config, solo), Ok(Some(true))) {
                 hit = true;
                 break;
             }

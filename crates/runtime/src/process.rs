@@ -67,6 +67,18 @@ impl<S> ProcStatus<S> {
     }
 }
 
+impl<S> From<Step<S>> for ProcStatus<S> {
+    /// The status a process has after taking `step`.
+    fn from(step: Step<S>) -> Self {
+        match step {
+            Step::Continue(s) => ProcStatus::Running(s),
+            Step::Decide(v) => ProcStatus::Decided(v),
+            Step::Abort => ProcStatus::Aborted,
+            Step::Halt => ProcStatus::Halted,
+        }
+    }
+}
+
 /// A deterministic asynchronous protocol for a fixed set of processes.
 ///
 /// This is the paper's model of an *algorithm*: each process is a

@@ -3,7 +3,7 @@
 
 use crate::error::RuntimeError;
 use crate::outcome::OutcomeResolver;
-use crate::process::{ProcStatus, Protocol, Step};
+use crate::process::{ProcStatus, Protocol};
 use crate::scheduler::{CrashPlan, Scheduler};
 use crate::trace::{Trace, TraceEvent};
 use lbsa_core::spec::ObjectSpec;
@@ -250,12 +250,7 @@ impl<'a, P: Protocol> System<'a, P> {
             });
         }
         self.steps += 1;
-        self.statuses[pid.index()] = match self.protocol.on_response(pid, &local, response) {
-            Step::Continue(next) => ProcStatus::Running(next),
-            Step::Decide(v) => ProcStatus::Decided(v),
-            Step::Abort => ProcStatus::Aborted,
-            Step::Halt => ProcStatus::Halted,
-        };
+        self.statuses[pid.index()] = self.protocol.on_response(pid, &local, response).into();
         Ok(())
     }
 
@@ -354,6 +349,7 @@ impl<'a, P: Protocol> System<'a, P> {
 mod tests {
     use super::*;
     use crate::outcome::FirstOutcome;
+    use crate::process::Step;
     use crate::scheduler::{RoundRobin, Scripted, Solo};
     use lbsa_core::{ObjId, Op};
 
